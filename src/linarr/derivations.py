@@ -5,8 +5,9 @@ a*x + b*y; a multiarrangement gives each central a positive integer
 multiplicity. D(M) is the module of derivations theta = P dx + Q dy
 with alpha^m dividing theta(alpha) = a*P + b*Q for every weighted
 central. Over a field this module is free of rank 2, so it is pinned
-down by two generator degrees d1 <= d2 with d1 + d2 = |m|; exponents()
-finds them by scanning graded kernel dimensions from degree 0 up and
+down by two generator degrees d1 <= d2 with d1 + d2 = |m|, and its
+degree-d piece has dimension max(0, d-d1+1) + max(0, d-d2+1).
+exponents() reads d1 off one graded kernel probed at degree |m| // 2 and
 certifies the result through the Saito determinant.
 
 Homogeneous polynomials of degree d are coefficient tuples of length
@@ -20,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .arrangement import (
     Arrangement,
@@ -345,24 +347,36 @@ def ziegler_restriction(A: Arrangement, target=AT_INFINITY) -> Multiarrangement:
 
 
 def _constraint_rows(M: Multiarrangement, d: int) -> list:
-    """Stacked linear conditions on the 2(d+1) coefficients of (P, Q)."""
+    """Stacked linear conditions on the 2(d+1) coefficients of (P, Q).
+
+    Central alpha with multiplicity m contributes one row per s < m: the
+    alpha^s beta^(d-s) coordinate of theta(alpha) = a*P + b*Q, with beta
+    as in divmod_linear. The coordinate of the monomial x^(d-j) y^j is
+    [j = s] for alpha = y, [j = d-s] for alpha = x, and
+    C(j, s) * (-1)^(j-s) * b^(-j) for alpha = x + b*y, since there
+    x = beta and y = (alpha - beta)/b.
+    """
     field = M.field
     rows = []
     width = d + 1
-    zero = field.zero
-    for central, mult in M.items():
-        steps = min(mult, d + 1)
-        a, b = central
-        # adic coordinates of each monomial; theta(alpha) = a*P + b*Q is
-        # linear in the unknowns, so columns are scaled copies of these
-        per_monomial = []
-        for j in range(width):
-            mono = tuple(field.one if k == j else zero for k in range(width))
-            per_monomial.append(adic_coefficients(field, mono, central, steps))
-        for s in range(steps):
-            row = [a * per_monomial[j][s] for j in range(width)]
-            row += [b * per_monomial[j][s] for j in range(width)]
-            rows.append(row)
+    zero, one = field.zero, field.one
+    for (a, b), mult in M.items():
+        if a and b:
+            # (-1)^(j-s) b^(-j) = (-1)^s (-1/b)^j
+            neg_inv = -(one / b)
+            inv_powers = [one]
+            for _ in range(d):
+                inv_powers.append(inv_powers[-1] * neg_inv)
+        for s in range(min(mult, width)):
+            if a and b:
+                sign = -1 if s & 1 else 1
+                coef = [zero] * s + [
+                    sign * comb(j, s) * inv_powers[j] for j in range(s, width)
+                ]
+            else:
+                coef = [zero] * width
+                coef[d - s if a else s] = one
+            rows.append([a * c for c in coef] + [b * c for c in coef])
     return rows
 
 
@@ -408,33 +422,43 @@ class Exponents:
 
 @lru_cache(maxsize=None)
 def exponents(M: Multiarrangement) -> Exponents:
-    """Exponents of D(M) by graded kernel scan, Saito-verified.
+    """Exponents of D(M) from one graded kernel probe, Saito-verified.
 
-    d1 is the least degree with a nonzero kernel. A two-dimensional
-    kernel at d1 forces d2 = d1 (and 2*d1 = |m|); otherwise
-    d2 = |m| - d1 and theta2 is the earliest reduced-echelon kernel
-    vector at degree d2 outside the span of S*theta1.
+    The probe is the kernel at d = |m| // 2. Since d1 <= d <= d2, its
+    dimension is d - d1 + 1, plus one when d2 = d as well. So a
+    two-dimensional probe at even |m| means either d1 = d2 = d or
+    d1 = d - 1; the Saito determinant of the probe basis tells them
+    apart, being nonzero only in the balanced case, whose witnesses are
+    then that basis. Otherwise d1 = d - dim + 1, theta1 spans the
+    one-dimensional kernel at d1, d2 = |m| - d1 and theta2 is the
+    earliest reduced-echelon kernel vector at degree d2 outside the span
+    of S*theta1.
     """
+
+    def violation(message: str) -> InvariantViolation:
+        return InvariantViolation(
+            f"{message}; reproduce with `linarr exponents` on:\n"
+            + format_multiarrangement(M)
+        )
+
     total = M.size
-    d1 = None
-    for d in range(total // 2 + 1):
-        dim = graded_kernel_dim(M, d)
-        if dim > 0:
-            d1 = d
-            break
-    if d1 is None:
-        raise InvariantViolation("no derivation found up to |m|/2; scan is broken")
-    basis1 = graded_kernel(M, d1)
+    d = total // 2
+    probe = graded_kernel(M, d)
+    if (
+        2 * d == total
+        and len(probe) == 2
+        and saito_verify(probe[0], probe[1], M)
+    ):
+        return Exponents(d, d, probe[0], probe[1])
+    if not 0 < len(probe) <= d + 1:
+        raise violation(f"kernel dimension {len(probe)} at degree {d} = |m| // 2")
+    d1 = d - len(probe) + 1
+    basis1 = probe if d1 == d else graded_kernel(M, d1)
+    if len(basis1) != 1:
+        raise violation(
+            f"kernel dimension {len(basis1)} at degree {d1} with |m| = {total}"
+        )
     theta1 = basis1[0]
-    if len(basis1) >= 2:
-        if 2 * d1 != total:
-            raise InvariantViolation(
-                f"kernel dimension {len(basis1)} at degree {d1} with |m| = {total}"
-            )
-        result = Exponents(d1, d1, theta1, basis1[1])
-        if not saito_verify(result.theta1, result.theta2, M):
-            raise InvariantViolation("Saito check failed on a balanced kernel pair")
-        return result
     d2 = total - d1
     span_rows = []
     k = d2 - d1
@@ -451,11 +475,10 @@ def exponents(M: Multiarrangement) -> Exponents:
             theta2 = candidate
             break
     if theta2 is None:
-        raise InvariantViolation("no degree-d2 derivation independent of theta1")
-    result = Exponents(d1, d2, theta1, theta2)
+        raise violation("no degree-d2 derivation independent of theta1")
     if not saito_verify(theta1, theta2, M):
-        raise InvariantViolation("Saito check failed on the selected witnesses")
-    return result
+        raise violation("Saito check failed on the selected witnesses")
+    return Exponents(d1, d2, theta1, theta2)
 
 
 def saito_verify(theta1: HomDerivation, theta2: HomDerivation, M: Multiarrangement) -> bool:

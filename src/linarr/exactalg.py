@@ -31,18 +31,37 @@ QUADRATIC = "quadratic"
 PRIME = "prime"
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Strong pseudoprimes to all of _MR_BASES start here (Sorenson and
+# Webster, Math. Comp. 86, 2017), so Miller-Rabin is exact below it.
+PRIMALITY_CAP = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises PreconditionError at n >= PRIMALITY_CAP."""
+    if n >= PRIMALITY_CAP:
+        raise PreconditionError(
+            f"{n} is beyond the certified primality range (< {PRIMALITY_CAP})"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for q in _MR_BASES:
+        x = pow(q, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 

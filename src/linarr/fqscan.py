@@ -23,7 +23,7 @@ from functools import lru_cache
 from .arrangement import Arrangement, Line
 from .derivations import HomDerivation, Multiarrangement, exponents, is_member
 from .errors import InvariantViolation, PreconditionError
-from .exactalg import Field
+from .exactalg import Field, is_prime
 from .freeness import (
     FREE,
     NOT_FREE,
@@ -33,17 +33,6 @@ from .freeness import (
     _line_text,
     decide_free,
 )
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _require_prime(field: Field) -> int:
@@ -92,7 +81,7 @@ class PlaneEnumeration:
 
     def __init__(self, p: int, cap: int = PLANE_PRIME_CAP):
         p = int(p)
-        if not _is_prime(p):
+        if not is_prime(p):
             raise PreconditionError(
                 f"{p} is not prime; prime powers are not supported"
             )

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,16 @@ def test_parse_arrangement_quadratic_and_prime():
     assert arr.lines[0].b == Quad(0, 1, 2)
     arr = parse_arrangement("field F 5\nline 1 4 2\nline 0 1 0\n")
     assert arr.field == Field.prime(5)
+
+
+def test_parse_large_prime_header_is_fast():
+    start = time.perf_counter()
+    arr = parse_arrangement("field F 1000000000000000003\nline 1 0 0\n")
+    assert time.perf_counter() - start < 1.0
+    assert arr.field == Field.prime(1000000000000000003)
+    for p in ("561", "3215031751", "3825123056546413051", "3317044064679887385961981"):
+        with pytest.raises(ParseError, match="bad field header"):
+            parse_arrangement(f"field F {p}\nline 1 0 0\n")
 
 
 def parse_error(text):

@@ -7,16 +7,20 @@ re-counted by full enumeration of candidate derivations.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from helpers import Q, random_arrangement, random_multiarrangement
+from linarr import derivations
 from linarr.arrangement import Arrangement, normalize_direction
 from linarr.derivations import (
     AT_INFINITY,
     HomDerivation,
     Multiarrangement,
+    _constraint_rows,
+    adic_coefficients,
     divides_power,
     divmod_linear,
     euler_witness,
@@ -39,7 +43,7 @@ from linarr.errors import (
     ParseError,
     PreconditionError,
 )
-from linarr.exactalg import Field
+from linarr.exactalg import Field, Quad
 from linarr.fixtures import pencil, squares_diagonals, star7_transversal_q
 
 F5 = Field.prime(5)
@@ -179,6 +183,47 @@ def test_divides_power_matches_oracle():
 # --------------------------------------------------------------- graded dims
 
 
+def adic_constraint_rows(M, d):
+    """The rows of the degree-d kernel built from adic_coefficients per monomial."""
+    field = M.field
+    width = d + 1
+    rows = []
+    for central, mult in M.items():
+        steps = min(mult, width)
+        a, b = central
+        per_monomial = [
+            adic_coefficients(
+                field,
+                tuple(field.one if k == j else field.zero for k in range(width)),
+                central,
+                steps,
+            )
+            for j in range(width)
+        ]
+        for s in range(steps):
+            rows.append(
+                [a * per_monomial[j][s] for j in range(width)]
+                + [b * per_monomial[j][s] for j in range(width)]
+            )
+    return rows
+
+
+def test_constraint_rows_match_adic_construction():
+    rng = random.Random(18)
+    qr2 = Field.quadratic(2)
+    r = Quad(0, 1, 2)
+    qr2_dirs = [(1, 0), (0, 1), (1, r), (1, 1 - r), (2, 1 + r), (1, Quad(Fraction(1, 3), -2, 2))]
+    for field in (Q, qr2, F5):
+        for _ in range(12):
+            if field is qr2:
+                chosen = rng.sample(qr2_dirs, rng.randint(0, 4))
+                M = Multiarrangement(field, chosen, [rng.randint(1, 4) for _ in chosen])
+            else:
+                M = random_multiarrangement(rng, field, max_h=4, max_mult=4)
+            for d in range(M.size + 1):
+                assert _constraint_rows(M, d) == adic_constraint_rows(M, d)
+
+
 def test_graded_dims_frozen():
     xy22 = mk(Q, [(1, 0, 2), (0, 1, 2)])
     assert [graded_kernel_dim(xy22, d) for d in (0, 1, 2, 3)] == [0, 0, 2, 4]
@@ -246,6 +291,64 @@ def test_exponents_frozen_small():
     assert exponents(mk(Q, [(1, 0, 5), (0, 1, 1)])).pair == (1, 5)
     assert exponents(mk(Q, [(1, 0, 1), (0, 1, 1), (1, -1, 1)])).pair == (1, 2)
     assert exponents(mk(Q, [(1, 0, 2), (0, 1, 1), (1, 1, 1)])).pair == (2, 2)
+
+
+def counted_exponents(monkeypatch, M):
+    """Uncached exponents(M) and the degrees of the graded kernels it built."""
+    calls = []
+
+    def counting(M, d):
+        calls.append(d)
+        return graded_kernel(M, d)
+
+    def no_dims(M, d):
+        raise AssertionError("exponents must not call graded_kernel_dim")
+
+    monkeypatch.setattr(derivations, "graded_kernel", counting)
+    monkeypatch.setattr(derivations, "graded_kernel_dim", no_dims)
+    return exponents.__wrapped__(M), calls
+
+
+def test_exponents_probe_edge_cases(monkeypatch):
+    # |m| = 0: the probe at degree 0 is all of dx, dy
+    exp, calls = counted_exponents(monkeypatch, mk(Q, []))
+    assert exp.pair == (0, 0) and calls == [0]
+
+    # a two-dimensional probe at odd |m| is not the balanced case
+    single = mk(Q, [(1, 0, 3)])
+    assert len(graded_kernel(single, 1)) == 2
+    exp, calls = counted_exponents(monkeypatch, single)
+    assert exp.pair == (0, 3) and calls == [1, 0, 3]
+
+    # odd |m| with d1 = |m| // 2: one-dimensional probe, reused as theta1
+    triple = mk(Q, [(1, 0, 1), (0, 1, 1), (1, -1, 1)])
+    probe = graded_kernel(triple, 1)
+    assert len(probe) == 1
+    exp, calls = counted_exponents(monkeypatch, triple)
+    assert exp.pair == (1, 2) and exp.theta1 == probe[0] and calls == [1, 2]
+
+    xy22 = mk(Q, [(1, 0, 2), (0, 1, 2)])
+    probe = graded_kernel(xy22, 2)
+    exp, calls = counted_exponents(monkeypatch, xy22)
+    assert exp.pair == (2, 2) and (exp.theta1, exp.theta2) == probe and calls == [2]
+
+    # two-dimensional probe at even |m| spanned by x*theta1, y*theta1
+    generic = mk(Q, [(1, 0, 1), (0, 1, 1), (1, -1, 1), (1, 1, 1)])
+    probe = graded_kernel(generic, 2)
+    assert len(probe) == 2 and not saito_verify(probe[0], probe[1], generic)
+    exp, calls = counted_exponents(monkeypatch, generic)
+    assert exp.pair == (1, 3) and calls == [2, 1, 3]
+
+
+def test_exponents_violation_carries_reproducer(monkeypatch):
+    M = mk(F5, [(1, 0, 2), (0, 1, 1), (1, 3, 2)])
+    monkeypatch.setattr(derivations, "saito_verify", lambda t1, t2, M: False)
+    with pytest.raises(InvariantViolation) as info:
+        exponents.__wrapped__(M)
+    text = format_multiarrangement(M)
+    message = str(info.value)
+    assert message.endswith(text)
+    assert parse_multiarrangement(message.split(":\n", 1)[1]) == M
 
 
 def test_exponents_squares_diagonals_restriction():

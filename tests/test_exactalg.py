@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from linarr import ExactMatrix, Field, Mod, ParseError, PreconditionError, Quad
 from linarr.exactalg import (
+    PRIMALITY_CAP,
     is_prime,
     kernel_basis,
     rank,
@@ -156,6 +157,26 @@ def test_fermat_inverse_agrees_exhaustively():
             assert inv == Mod(pow(a, p - 2, p), p)
             assert (Mod(a, p) * inv).value == 1
         assert field.characteristic == p
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if trial(n)]
+
+
+def test_is_prime_large_values():
+    # a Carmichael number, and strong pseudoprimes to bases 2..7 and 2..23
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1)
+    # PRIMALITY_CAP itself is the least strong pseudoprime to all 13 bases
+    with pytest.raises(PreconditionError, match="primality range"):
+        is_prime(PRIMALITY_CAP)
+    with pytest.raises(PreconditionError):
+        Field.prime(PRIMALITY_CAP + 2)
 
 
 # ---------------------------------------------------------------- matrices
