@@ -404,7 +404,9 @@ class Arrangement:
 
     # -------------------------------------------------------- edits
 
-    def _resolve(self, which) -> int:
+    def member_index(self, which) -> int:
+        """Index of a member given as a Line or as an index; raises
+        MembershipError for a non-member line or an index out of range."""
         if isinstance(which, Line):
             return self.index_of(which)
         i = int(which)
@@ -413,7 +415,7 @@ class Arrangement:
         return i
 
     def delete(self, which) -> "Arrangement":
-        i = self._resolve(which)
+        i = self.member_index(which)
         return Arrangement(self.field, self.lines[:i] + self.lines[i + 1 :])
 
     def add(self, line) -> "Arrangement":
@@ -428,11 +430,9 @@ class Arrangement:
         return Arrangement(self.field, [self.lines[i] for i in idx])
 
     def _validate_subset(self, indices) -> tuple[int, ...]:
-        idx = tuple(int(i) for i in indices)
+        idx = tuple(self.member_index(int(i)) for i in indices)
         seen = set()
         for i in idx:
-            if not 0 <= i < len(self.lines):
-                raise MembershipError(f"line index {i} out of range")
             if i in seen:
                 raise MembershipError(f"duplicate index {i} in subset")
             seen.add(i)

@@ -25,7 +25,6 @@ from math import comb
 
 from .arrangement import (
     Arrangement,
-    Line,
     format_field_header,
     normalize_direction,
     parse_body,
@@ -305,12 +304,7 @@ def ziegler_restriction(A: Arrangement, target=AT_INFINITY) -> Multiarrangement:
             raise InvariantViolation("restriction multiplicities must sum to |A|")
         return M
 
-    if isinstance(target, Line):
-        i = A.index_of(target)
-    else:
-        i = int(target)
-        if not 0 <= i < len(A):
-            raise MembershipError(f"line index {i} out of range")
+    i = A.member_index(target)
     h_line = A.lines[i]
     plane = ExactMatrix.from_rows(field, [[h_line.a, h_line.b, h_line.c]])
     u, v = kernel_basis(plane)

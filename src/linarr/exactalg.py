@@ -35,6 +35,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Strong pseudoprimes to all of _MR_BASES start here (Sorenson and
 # Webster, Math. Comp. 86, 2017), so Miller-Rabin is exact below it.
 PRIMALITY_CAP = 3317044064679887385961981
+# Quadratic fields need |d| below this: squarefree_decomposition is trial
+# division, which takes about 10^6 steps just below the cap.
+SQUAREFREE_CAP = 10**12
 
 
 def is_prime(n: int) -> bool:
@@ -315,6 +318,8 @@ class Field:
                 raise PreconditionError("quadratic field needs d only")
             if self.d in (0, 1):
                 raise PreconditionError(f"sqrt({self.d}) is rational, d must not be 0 or 1")
+            if abs(self.d) >= SQUAREFREE_CAP:
+                raise PreconditionError(f"|d| = {abs(self.d)} is not below {SQUAREFREE_CAP}")
             if squarefree_decomposition(abs(self.d))[0] != 1:
                 raise PreconditionError(f"d = {self.d} is not squarefree")
         elif self.kind == PRIME:
@@ -358,6 +363,8 @@ class Field:
 
     def coerce(self, x):
         """Return x as this field's canonical scalar type, or raise."""
+        if isinstance(x, bool):
+            raise PreconditionError(f"{x!r} is not a scalar of {self}")
         if self.kind == RATIONALS:
             if isinstance(x, Fraction):
                 return x

@@ -130,11 +130,8 @@ def decide_free(A: Arrangement, target=AT_INFINITY) -> FreenessCertificate:
     """Decide freeness exactly: free iff b2 equals the product of the
     Ziegler restriction exponents. target selects the restriction plane
     (AT_INFINITY, a member Line, or a member index)."""
-    if target != AT_INFINITY and not isinstance(target, Line):
-        i = int(target)
-        if not 0 <= i < len(A):
-            raise MembershipError(f"line index {i} out of range")
-        target = A.lines[i]
+    if target != AT_INFINITY:
+        target = A.lines[A.member_index(target)]
     return _decide_free_cached(A, target)
 
 
@@ -144,15 +141,6 @@ def decide_free(A: Arrangement, target=AT_INFINITY) -> FreenessCertificate:
 def _line_text(A: Arrangement, line: Line) -> str:
     fmt = A.field.format_scalar
     return f"{fmt(line.a)} {fmt(line.b)} {fmt(line.c)}"
-
-
-def _member_index(A: Arrangement, which) -> int:
-    if isinstance(which, Line):
-        return A.index_of(which)
-    i = int(which)
-    if not 0 <= i < len(A):
-        raise MembershipError(f"line index {i} out of range")
-    return i
 
 
 def _integer_roots(A: Arrangement):
@@ -174,6 +162,42 @@ def _inapplicable(name: str, reason: str, **extra) -> CriterionEntry:
     evidence = {"reason": reason}
     evidence.update(extra)
     return CriterionEntry(name, False, NO_CONCLUSION, evidence)
+
+
+def _count_verdict(A: Arrangement, name: str, n: int, nr: int, evidence, **tail):
+    """Verdict of a biconditional criterion: A is free iff some member
+    count lies in {n, n+r}. The witness index (or None) is recorded as
+    "member" after `evidence` and before `tail`."""
+    witness = _member_witness(A, (n, nr))
+    verdict = FREE if witness is not None else NOT_FREE
+    return CriterionEntry(name, True, verdict, {**evidence, "member": witness, **tail})
+
+
+def _sub_is_free(A: Arrangement, idx: tuple, roots: tuple) -> bool:
+    """Decide B = A[idx] exactly. A free B has chi(B) = (t-d1)(t-d2), so
+    its exponents must be its integer roots (low, high)."""
+    cert = decide_free(A.subarrangement(idx))
+    if cert.is_free and cert.exponents != roots:
+        raise InvariantViolation("free subarrangement exponents must match its roots")
+    return cert.is_free
+
+
+def _chi_at_count(A: Arrangement, i: int) -> int:
+    """chi(A, n_H) for member i; at a zero, assert chi(A minus H, n_H) = 0.
+
+    chi(A minus H) is recounted from A's lattice by sub_char_poly rather
+    than taken from the deletion-restriction identity, so the assertion
+    still checks the lattice.
+    """
+    n_h = A.n_counts[i]
+    value = A.char_poly().eval(n_h)
+    if value == 0:
+        rest = [j for j in range(len(A)) if j != i]
+        if A.sub_char_poly(rest).eval(n_h) != 0:
+            raise InvariantViolation(
+                "deletion-restriction forces both polynomials to vanish at n_H"
+            )
+    return value
 
 
 # ---------------------------------------------------------------- criteria
@@ -233,18 +257,13 @@ def deletion_pair(A: Arrangement, which) -> CriterionEntry:
     The two characteristic polynomials differ by t - n_H, so their gcd
     is nonconstant exactly when both vanish at n_H; in that case the
     pair is free on both sides. Without a common root the two cannot
-    both be free, which alone settles nothing about A.
+    both be free, which alone settles nothing about A. chi(A minus H)
+    is read from A's lattice; no arrangement is built.
     """
     name = "deletion_pair"
-    i = _member_index(A, which)
-    sub = A.delete(i)
+    i = A.member_index(which)
     n_h = A.n_counts[i]
-    common = A.char_poly().eval(n_h) == 0
-    if common:
-        if sub.char_poly().eval(n_h) != 0:
-            raise InvariantViolation(
-                "deletion-restriction forces both polynomials to vanish at n_H"
-            )
+    if _chi_at_count(A, i) == 0:
         if n_h < 0:
             raise InvariantViolation("a common root must be a nonnegative integer")
         return CriterionEntry(
@@ -263,23 +282,20 @@ def deletion_pair(A: Arrangement, which) -> CriterionEntry:
 
 def addition(A: Arrangement, which) -> CriterionEntry:
     """Addition step: chi(A, n_H) = chi(A', n_H) = 0 ties the freeness of
-    A to that of A' = A minus H; the smaller side is then decided exactly."""
+    A to that of A' = A minus H. chi(A') is read from A's lattice; only
+    when both vanish is A' built, to decide the smaller side exactly."""
     name = "addition"
-    i = _member_index(A, which)
-    sub = A.delete(i)
+    i = A.member_index(which)
     n_h = A.n_counts[i]
-    if A.char_poly().eval(n_h) != 0:
+    chi_at_count = _chi_at_count(A, i)
+    if chi_at_count != 0:
         return CriterionEntry(
             name,
             True,
             NO_CONCLUSION,
-            {"member": i, "count": n_h, "chi_at_count": A.char_poly().eval(n_h)},
+            {"member": i, "count": n_h, "chi_at_count": chi_at_count},
         )
-    if sub.char_poly().eval(n_h) != 0:
-        raise InvariantViolation(
-            "deletion-restriction forces both polynomials to vanish at n_H"
-        )
-    smaller = decide_free(sub)
+    smaller = decide_free(A.delete(i))
     return CriterionEntry(
         name,
         True,
@@ -313,16 +329,14 @@ def bracketing_sub(A: Arrangement, sub_indices) -> CriterionEntry:
             beta=str(roots_b.high),
             n=n,
         )
-    witness = _member_witness(A, (n, nr))
     evidence = {
         "n": n,
         "r": r,
         "sub": list(idx),
         "alpha": str(roots_b.low),
         "beta": str(roots_b.high),
-        "member": witness,
     }
-    return CriterionEntry(name, True, FREE if witness is not None else NOT_FREE, evidence)
+    return _count_verdict(A, name, n, nr, evidence)
 
 
 def intermediate_search(
@@ -361,32 +375,14 @@ def intermediate_search(
             sub_roots=[y1, y2],
             n=n,
         )
-    cert_b = decide_free(A.subarrangement(idx))
-    if not cert_b.is_free:
+    if not _sub_is_free(A, idx, (y1, y2)):
         return _inapplicable(name, "subarrangement is not free", sub=list(idx))
-    e1, e2 = cert_b.exponents
-    if (e1, e2) != (y1, y2):
-        raise InvariantViolation("free subarrangement exponents must match its roots")
 
     if not shifted:
-        s = n - e1
-        return _search_intermediate(A, idx, n, r, s, e1, e2, exhaustive_cap)
-    s = n - e2
-    witness = _member_witness(A, (n, nr))
-    return CriterionEntry(
-        name,
-        True,
-        FREE if witness is not None else NOT_FREE,
-        {
-            "n": n,
-            "r": r,
-            "s": s,
-            "sub": list(idx),
-            "sub_exponents": [e1, e2],
-            "member": witness,
-            "mode": "count-scan",
-        },
-    )
+        return _search_intermediate(A, idx, n, r, n - y1, y1, y2, exhaustive_cap)
+    s = n - y2
+    evidence = {"n": n, "r": r, "s": s, "sub": list(idx), "sub_exponents": [y1, y2]}
+    return _count_verdict(A, name, n, nr, evidence, mode="count-scan")
 
 
 def _search_intermediate(A, idx, n, r, s, e1, e2, exhaustive_cap) -> CriterionEntry:
@@ -463,8 +459,7 @@ def subfree(A: Arrangement, sub_indices) -> CriterionEntry:
             roots=[x1, x2],
             sub_roots=[y1, y2],
         )
-    cert_b = decide_free(A.subarrangement(idx))
-    if not cert_b.is_free:
+    if not _sub_is_free(A, idx, (y1, y2)):
         return _inapplicable(
             name,
             "subarrangement is not free",
@@ -547,24 +542,10 @@ def small_exponent_sub(A: Arrangement, sub_indices) -> CriterionEntry:
             n=n,
             r=r,
         )
-    cert_b = decide_free(A.subarrangement(idx))
-    if not cert_b.is_free:
+    if not _sub_is_free(A, idx, shape):
         return _inapplicable(name, "subarrangement is not free", sub=list(idx))
-    if cert_b.exponents != shape:
-        raise InvariantViolation("free subarrangement exponents must match its roots")
-    witness = _member_witness(A, (n, nr))
-    return CriterionEntry(
-        name,
-        True,
-        FREE if witness is not None else NOT_FREE,
-        {
-            "n": n,
-            "r": r,
-            "sub": list(idx),
-            "sub_exponents": list(shape),
-            "member": witness,
-        },
-    )
+    evidence = {"n": n, "r": r, "sub": list(idx), "sub_exponents": list(shape)}
+    return _count_verdict(A, name, n, nr, evidence)
 
 
 # ----------------------------------------------------- external candidates

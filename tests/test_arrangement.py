@@ -393,6 +393,13 @@ def test_parse_large_prime_header_is_fast():
             parse_arrangement(f"field F {p}\nline 1 0 0\n")
 
 
+def test_parse_huge_quadratic_header_is_fast():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="bad field header"):
+        parse_arrangement("field Q sqrt 100000000000000000000000000007\nline 1 0 0\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def parse_error(text):
     with pytest.raises(ParseError) as info:
         parse_arrangement(text, path="input.arr")

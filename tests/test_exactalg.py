@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from linarr import ExactMatrix, Field, Mod, ParseError, PreconditionError, Quad
 from linarr.exactalg import (
     PRIMALITY_CAP,
+    SQUAREFREE_CAP,
     is_prime,
     kernel_basis,
     rank,
@@ -58,6 +59,23 @@ def test_coerce_rejects_cross_field():
         F3.coerce(Mod(1, 5))
     with pytest.raises(PreconditionError):
         F3.coerce(Fraction(1, 2))
+
+
+def test_coerce_rejects_bool():
+    for field in (Q, QR2, F5):
+        assert field.coerce(1) == field.one
+        for flag in (True, False):
+            with pytest.raises(PreconditionError, match="is not a scalar"):
+                field.coerce(flag)
+            assert not field.is_element(flag)
+
+
+def test_quadratic_field_caps_d():
+    largest_prime_below = 999999999989
+    assert Field.quadratic(largest_prime_below).d == largest_prime_below
+    for d in (SQUAREFREE_CAP, -SQUAREFREE_CAP, 10**29 + 7):
+        with pytest.raises(PreconditionError, match="not below"):
+            Field.quadratic(d)
 
 
 # ---------------------------------------------------------------- scalars

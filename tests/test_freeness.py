@@ -6,6 +6,7 @@ freeness via b2 against the product of the at-infinity restriction
 exponents, window facts from the integer roots.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -16,9 +17,11 @@ from linarr.arrangement import (
     REAL_IRRATIONAL,
     TWO_INTEGER,
     Arrangement,
+    normalize_line,
 )
-from linarr.derivations import AT_INFINITY
-from linarr.errors import MembershipError
+from linarr.derivations import AT_INFINITY, ziegler_restriction
+from linarr import freeness
+from linarr.errors import InvariantViolation, MembershipError
 from linarr.exactalg import Field
 from linarr.fixtures import ARRANGEMENT_FIXTURES, pencil
 from linarr.freeness import (
@@ -244,6 +247,75 @@ def test_addition_recurses_into_deleted():
         assert entry.evidence["chi_at_count"] > 0
 
 
+def _count_builds(monkeypatch):
+    """Patch Arrangement.__init__ to count constructions; returns the counter."""
+    built = []
+    init = Arrangement.__init__
+
+    def counting_init(self, field, lines):
+        lines = tuple(lines)
+        built.append(len(lines))
+        init(self, field, lines)
+
+    monkeypatch.setattr(Arrangement, "__init__", counting_init)
+    return built
+
+
+def test_deletion_pair_builds_no_arrangement(monkeypatch):
+    instances = [ARRANGEMENT_FIXTURES[name]() for name in sorted(ARRANGEMENT_FIXTURES)]
+    instances += [grid_with_diagonal(), pencil_with_transversal(), triangle()]
+    built = _count_builds(monkeypatch)
+    conclusions = set()
+    for A in instances:
+        for i in range(len(A)):
+            conclusions.add(deletion_pair(A, i).conclusion)
+    assert conclusions == {FREE, NO_CONCLUSION}
+    assert built == []
+
+
+def test_addition_builds_one_arrangement_iff_count_is_a_root(monkeypatch):
+    instances = [ARRANGEMENT_FIXTURES[name]() for name in sorted(ARRANGEMENT_FIXTURES)]
+    instances += [grid_with_diagonal(), pencil_with_transversal(), triangle()]
+    built = _count_builds(monkeypatch)
+    seen = set()
+    for A in instances:
+        for i in range(len(A)):
+            del built[:]
+            addition(A, i)
+            at_root = A.char_poly().eval(A.n_counts[i]) == 0
+            seen.add(at_root)
+            assert built == ([len(A) - 1] if at_root else []), (A, i)
+    assert seen == {True, False}
+
+
+MEMBER_LOOKUPS = {
+    "delete": lambda A, which: A.delete(which),
+    "decide_free": decide_free,
+    "ziegler_restriction": ziegler_restriction,
+    "deletion_pair": deletion_pair,
+    "addition": addition,
+}
+
+
+@pytest.mark.parametrize("lookup", sorted(MEMBER_LOOKUPS))
+@pytest.mark.parametrize("which", ["len", -1, "non-member"])
+def test_member_lookup_errors_agree(lookup, which):
+    A = grid_with_diagonal()
+    if which == "len":
+        which = len(A)
+    elif which == "non-member":
+        which = normalize_line(Q, 1, 5, 5)
+    with pytest.raises(MembershipError) as expected:
+        A.member_index(which)
+    with pytest.raises(MembershipError) as raised:
+        MEMBER_LOOKUPS[lookup](A, which)
+    assert str(raised.value) == str(expected.value)
+    if not isinstance(which, int):
+        assert str(raised.value).endswith("is not a member")
+    else:
+        assert str(raised.value) == f"line index {which} out of range"
+
+
 # --------------------------------------------------------- bracketing_sub
 
 
@@ -419,6 +491,32 @@ def test_root_gap_inapplicability_reasons():
     entry = root_gap(unbalanced)
     assert entry.evidence["reason"] == "restriction is unbalanced"
     assert entry.evidence["h"] == 3
+
+
+@pytest.mark.parametrize(
+    "criterion, make, idx",
+    [
+        (intermediate_search, grid_three_by_two, (0, 3, 4)),
+        (subfree, lambda: pencil(6), (0, 1, 2, 3)),
+        (small_exponent_sub, grid_with_diagonal, (0, 1)),
+    ],
+    ids=["intermediate_search", "subfree", "small_exponent_sub"],
+)
+def test_free_subarrangement_exponents_must_match_roots(monkeypatch, criterion, make, idx):
+    A = make()
+    assert criterion(A, idx).applicable
+    exact = freeness.decide_free
+
+    def skewed(B, target=AT_INFINITY):
+        cert = exact(B, target)
+        if len(B) == len(A) or not cert.is_free:
+            return cert
+        d1, d2 = cert.exponents
+        return dataclasses.replace(cert, exponents=(d1 - 1, d2 + 1))
+
+    monkeypatch.setattr(freeness, "decide_free", skewed)
+    with pytest.raises(InvariantViolation, match="must match its roots"):
+        criterion(A, idx)
 
 
 # ------------------------------------------------------- small_exponent_sub

@@ -1,0 +1,71 @@
+"""Byte-for-byte CLI output on every shipped .arr fixture.
+
+tests/data/golden_cli.json maps each command line below to the exit code
+and exact stdout it produced when the file was recorded. Refactors of
+the criteria and lattice layers must leave these bytes unchanged.
+
+To regenerate the file (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import io
+import json
+import pathlib
+from contextlib import redirect_stdout
+
+import pytest
+
+from linarr.cli import main
+from linarr.fixtures import fixture_names, fixture_path
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_cli.json"
+
+ARR_FIXTURES = [name for name in fixture_names() if name.endswith(".arr")]
+
+COMMANDS = (
+    ("criteria",),
+    ("criteria", "--format", "json-lines"),
+    ("free",),
+    ("pair", "{file}", "0"),
+)
+
+
+def command_lines():
+    for name in ARR_FIXTURES:
+        for command in COMMANDS:
+            args = [name if a == "{file}" else a for a in command]
+            if "{file}" not in command:
+                args.insert(1, name)
+            yield tuple(args)
+
+
+def replay(args) -> dict:
+    argv = [str(fixture_path(a)) if a in ARR_FIXTURES else a for a in args]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(argv)
+    return {"rc": rc, "stdout": out.getvalue()}
+
+
+def _load_golden() -> dict:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_every_arr_fixture():
+    assert len(ARR_FIXTURES) == 16
+    assert sorted(_load_golden()) == sorted(" ".join(a) for a in command_lines())
+
+
+@pytest.mark.parametrize("args", list(command_lines()), ids=" ".join)
+def test_cli_output_matches_golden(args):
+    assert replay(args) == _load_golden()[" ".join(args)]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    record = {" ".join(args): replay(args) for args in command_lines()}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
