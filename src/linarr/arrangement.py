@@ -7,6 +7,14 @@ plus eagerly built caches: the intersection points (with the incident
 line indices at each), the parallel classes, and the per-line counts
 n_H = number of distinct points in which the other members meet H.
 
+The caches are built from integer point keys. Each member is lifted
+once to integer coordinates, two members meet in an integer cross
+product, and the meeting point is keyed by a canonical int tuple, so
+points are deduplicated without field arithmetic and the field scalars
+of an IncidencePoint are built once per distinct point, not once per
+pair. count_on_line uses the same keys; order_increasing updates its
+counts incrementally.
+
 The characteristic polynomial is always t^2 - n*t + b2 with
 b2 = sum over points of (multiplicity - 1), so it lives in Z[t] no
 matter which coefficient field the lines use. Root pairs are classified
@@ -22,10 +30,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InvariantViolation, MembershipError, ParseError, PreconditionError
-from .exactalg import Field, squarefree_decomposition
+from .exactalg import (
+    PRIME,
+    QUADRATIC,
+    RATIONALS,
+    Field,
+    Mod,
+    Quad,
+    squarefree_decomposition,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,14 +91,114 @@ class IncidencePoint:
         return len(self.incident)
 
 
-def _intersect(l1: Line, l2: Line):
-    """Intersection point of two distinct lines, or None when parallel."""
-    det = l1.a * l2.b - l2.a * l1.b
+# ------------------------------------------------- integer point keys
+#
+# Lifted lines and canonical point keys, so equal points get equal keys:
+#
+#   Q         (a, b, c) scaled by the lcm of the denominators; key
+#             (X, Y, D) with gcd 1 and D > 0 for the point (X/D, Y/D)
+#   Q(sqrt d) (au, av, bu, bv, cu, cv) for a = au + av*sqrt(d), ...; key
+#             (xu, xv, yu, yv, N) with gcd 1 and N > 0 for the point
+#             ((xu + xv*sqrt(d))/N, (yu + yv*sqrt(d))/N)
+#   F_p       (a, b, c) residues; key (x, y) residues
+
+
+def _lift_rational(field: Field, line: Line) -> tuple:
+    a, b, c = (field.coerce(t) for t in (line.a, line.b, line.c))
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    return tuple(t.numerator * (m // t.denominator) for t in (a, b, c))
+
+
+def _meet_rational(l1: tuple, l2: tuple, _):
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    det = a1 * b2 - a2 * b1
     if not det:
         return None
-    x = (l1.b * l2.c - l2.b * l1.c) / det
-    y = (l2.a * l1.c - l1.a * l2.c) / det
-    return (x, y)
+    x = b1 * c2 - b2 * c1
+    y = a2 * c1 - a1 * c2
+    g = gcd(x, y, det)
+    if det < 0:
+        g = -g
+    return (x // g, y // g, det // g)
+
+
+def _point_rational(key: tuple, _) -> tuple:
+    x, y, det = key
+    return (Fraction(x, det), Fraction(y, det))
+
+
+def _lift_quadratic(field: Field, line: Line) -> tuple:
+    coeffs = [field.coerce(t) for t in (line.a, line.b, line.c)]
+    parts = [r for q in coeffs for r in (q.u, q.v)]
+    m = lcm(*(r.denominator for r in parts))
+    return tuple(r.numerator * (m // r.denominator) for r in parts)
+
+
+def _meet_quadratic(l1: tuple, l2: tuple, d: int):
+    a1u, a1v, b1u, b1v, c1u, c1v = l1
+    a2u, a2v, b2u, b2v, c2u, c2v = l2
+    # det = a1*b2 - a2*b1, X = b1*c2 - b2*c1, Y = a2*c1 - a1*c2 in Z[sqrt d]
+    du = a1u * b2u + d * a1v * b2v - a2u * b1u - d * a2v * b1v
+    dv = a1u * b2v + a1v * b2u - a2u * b1v - a2v * b1u
+    if not du and not dv:
+        return None
+    xu = b1u * c2u + d * b1v * c2v - b2u * c1u - d * b2v * c1v
+    xv = b1u * c2v + b1v * c2u - b2u * c1v - b2v * c1u
+    yu = a2u * c1u + d * a2v * c1v - a1u * c2u - d * a1v * c2v
+    yv = a2u * c1v + a2v * c1u - a1u * c2v - a1v * c2u
+    # times conj(det) = du - dv*sqrt(d), over the norm N(det)
+    norm = du * du - d * dv * dv
+    key = (
+        xu * du - d * xv * dv,
+        xv * du - xu * dv,
+        yu * du - d * yv * dv,
+        yv * du - yu * dv,
+    )
+    g = gcd(*key, norm)
+    if norm < 0:
+        g = -g
+    return (key[0] // g, key[1] // g, key[2] // g, key[3] // g, norm // g)
+
+
+def _point_quadratic(key: tuple, d: int) -> tuple:
+    xu, xv, yu, yv, norm = key
+    return (
+        Quad(Fraction(xu, norm), Fraction(xv, norm), d),
+        Quad(Fraction(yu, norm), Fraction(yv, norm), d),
+    )
+
+
+def _lift_prime(field: Field, line: Line) -> tuple:
+    return tuple(field.coerce(t).value for t in (line.a, line.b, line.c))
+
+
+def _meet_prime(l1: tuple, l2: tuple, p: int):
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    det = (a1 * b2 - a2 * b1) % p
+    if not det:
+        return None
+    inv = pow(det, -1, p)
+    return ((b1 * c2 - b2 * c1) * inv % p, (a2 * c1 - a1 * c2) * inv % p)
+
+
+def _point_prime(key: tuple, p: int) -> tuple:
+    return (Mod(key[0], p), Mod(key[1], p))
+
+
+_INT_LATTICE = {
+    RATIONALS: (_lift_rational, _meet_rational, _point_rational),
+    QUADRATIC: (_lift_quadratic, _meet_quadratic, _point_quadratic),
+    PRIME: (_lift_prime, _meet_prime, _point_prime),
+}
+
+
+def _int_lattice(field: Field) -> tuple:
+    """(lift a line, meet two lifts, key -> field scalars, param) for a
+    field; param is what meet and point need: d, p, or None over Q."""
+    lift, meet, point = _INT_LATTICE[field.kind]
+    return lift, meet, point, field.d if field.kind == QUADRATIC else field.p
 
 
 def line_through(field: Field, p, q) -> Line:
@@ -266,6 +382,7 @@ class Arrangement:
         "field",
         "lines",
         "_index",
+        "_lifted",
         "_points",
         "_points_on",
         "_classes",
@@ -295,21 +412,20 @@ class Arrangement:
         raise AttributeError("Arrangement is immutable")
 
     def _build_caches(self):
-        lines = self.lines
+        field, lines = self.field, self.lines
         n = len(lines)
-        by_coords: dict[tuple, set[int]] = {}
-        order: list[tuple] = []
+        lift, meet, point, param = _int_lattice(field)
+        lifted = tuple(lift(field, line) for line in lines)
+        by_key: dict[tuple, set[int]] = {}
         for i in range(n):
+            li = lifted[i]
             for j in range(i + 1, n):
-                pt = _intersect(lines[i], lines[j])
-                if pt is None:
-                    continue
-                if pt not in by_coords:
-                    by_coords[pt] = set()
-                    order.append(pt)
-                by_coords[pt].update((i, j))
+                key = meet(li, lifted[j], param)
+                if key is not None:
+                    by_key.setdefault(key, set()).update((i, j))
         points = tuple(
-            IncidencePoint(x, y, frozenset(by_coords[(x, y)])) for (x, y) in order
+            IncidencePoint(*point(key, param), frozenset(incident))
+            for key, incident in by_key.items()
         )
         points_on: list[list[int]] = [[] for _ in range(n)]
         for k, pt in enumerate(points):
@@ -320,6 +436,7 @@ class Arrangement:
             classes.setdefault(line.direction, []).append(i)
         n_counts = tuple(len(points_on[i]) for i in range(n))
         b2 = sum(pt.multiplicity - 1 for pt in points)
+        object.__setattr__(self, "_lifted", lifted)
         object.__setattr__(self, "_points", points)
         object.__setattr__(
             self, "_points_on", tuple(tuple(ks) for ks in points_on)
@@ -391,16 +508,16 @@ class Arrangement:
     def count_on_line(self, line: Line) -> int:
         """Distinct intersection points of `line` with members other than itself.
 
-        Defined for members and non-members alike.
+        Defined for members and non-members alike. A member meets itself
+        with a zero determinant, like a parallel line, so it adds no key.
         """
-        pts = set()
-        for other in self.lines:
-            if other == line:
-                continue
-            pt = _intersect(line, other)
-            if pt is not None:
-                pts.add(pt)
-        return len(pts)
+        field = self.field
+        lift, meet, _, param = _int_lattice(field)
+        i = self._index.get(line)
+        mine = lift(field, line) if i is None else self._lifted[i]
+        keys = {meet(mine, other, param) for other in self._lifted}
+        keys.discard(None)
+        return len(keys)
 
     # -------------------------------------------------------- edits
 
@@ -448,14 +565,6 @@ class Arrangement:
                 b2 += m - 1
         return CharPoly(len(idx), b2)
 
-    def _count_within(self, i: int, subset: set[int]) -> int:
-        """Distinct points where members of `subset` meet line i (i excluded)."""
-        pts = 0
-        for k in self.points_on(i):
-            if self._points[k].incident & subset:
-                pts += 1
-        return pts
-
     def order_increasing(self, sub_indices) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Greedy ordering of the lines outside a subarrangement.
 
@@ -464,24 +573,33 @@ class Arrangement:
         meets H (ties broken by line index). Returns (order, counts)
         where counts[k] is that minimum at step k. The count sequence is
         nondecreasing.
+
+        The counts are kept up to date instead of recounted: a point is
+        touched once a line of the current set passes through it, and
+        counts[i] is the number of touched points on line i. Adding a
+        line touches the untouched points on it, and only the lines
+        through those points gain one.
         """
         base = set(self._validate_subset(sub_indices))
-        remaining = [i for i in range(len(self.lines)) if i not in base]
-        current = set(base)
+        points, points_on = self._points, self._points_on
+        n = len(self.lines)
+        touched = [bool(pt.incident & base) for pt in points]
+        counts = [sum(touched[k] for k in points_on[i]) for i in range(n)]
+        remaining = [i for i in range(n) if i not in base]
         order: list[int] = []
-        counts: list[int] = []
+        steps: list[int] = []
         while remaining:
-            best = None
-            best_count = None
-            for i in remaining:
-                c = self._count_within(i, current - {i})
-                if best_count is None or c < best_count:
-                    best, best_count = i, c
+            # min keeps the first of equal counts: ties go to the lower index
+            best = min(remaining, key=counts.__getitem__)
             order.append(best)
-            counts.append(best_count)
-            current.add(best)
+            steps.append(counts[best])
             remaining.remove(best)
-        return tuple(order), tuple(counts)
+            for k in points_on[best]:
+                if not touched[k]:
+                    touched[k] = True
+                    for j in points[k].incident:
+                        counts[j] += 1
+        return tuple(order), tuple(steps)
 
 
 # ------------------------------------------------------------------ file IO

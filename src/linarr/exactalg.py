@@ -109,6 +109,8 @@ class Quad:
                 )
             return other
         if isinstance(other, (int, Fraction)):
+            if isinstance(other, bool):
+                raise PreconditionError(f"{other!r} is not a scalar of sqrt({self.d}) values")
             return Quad(other, 0, self.d)
         return None
 
@@ -214,6 +216,8 @@ class Mod:
                 raise PreconditionError(f"cannot mix F_{self.p} and F_{other.p}")
             return other
         if isinstance(other, int):
+            if isinstance(other, bool):
+                raise PreconditionError(f"{other!r} is not a scalar of F_{self.p}")
             return Mod(other, self.p)
         return None
 

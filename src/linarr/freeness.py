@@ -264,8 +264,6 @@ def deletion_pair(A: Arrangement, which) -> CriterionEntry:
     i = A.member_index(which)
     n_h = A.n_counts[i]
     if _chi_at_count(A, i) == 0:
-        if n_h < 0:
-            raise InvariantViolation("a common root must be a nonnegative integer")
         return CriterionEntry(
             name,
             True,

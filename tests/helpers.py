@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules.
+"""Seeded random generators and a reference lattice shared by the test modules.
 
 All generators take an explicit random.Random so every suite is
 reproducible; none of them touch global RNG state.
@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import random
 
-from linarr.arrangement import Arrangement, Line, normalize_direction, normalize_line
+from linarr.arrangement import (
+    Arrangement,
+    IncidencePoint,
+    Line,
+    normalize_direction,
+    normalize_line,
+)
 from linarr.derivations import Multiarrangement
 from linarr.exactalg import Field
 
@@ -86,3 +92,64 @@ def random_subset(rng: random.Random, n: int, max_out: int | None = None) -> lis
         return [i for i in range(n) if i not in drop]
     k = rng.randint(0, n)
     return sorted(rng.sample(range(n), k))
+
+
+# ------------------------------------------- reference lattice (field scalars)
+#
+# The straightforward lattice computation in field arithmetic: intersect
+# every pair of lines with two divisions, dedupe the points by value, and
+# recount every remaining line at each greedy step. Arrangement computes
+# the same things from integer point keys; the property tests compare the
+# two.
+
+
+def reference_intersect(l1: Line, l2: Line):
+    """Intersection point of two distinct lines, or None when parallel."""
+    det = l1.a * l2.b - l2.a * l1.b
+    if not det:
+        return None
+    x = (l1.b * l2.c - l2.b * l1.c) / det
+    y = (l2.a * l1.c - l1.a * l2.c) / det
+    return (x, y)
+
+
+def reference_points(lines) -> tuple:
+    """IncidencePoints in first-seen order of the pairwise (i, j) scan."""
+    by_coords: dict[tuple, set[int]] = {}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            pt = reference_intersect(lines[i], lines[j])
+            if pt is not None:
+                by_coords.setdefault(pt, set()).update((i, j))
+    return tuple(IncidencePoint(x, y, frozenset(ix)) for (x, y), ix in by_coords.items())
+
+
+def reference_count_on_line(lines, line: Line) -> int:
+    return len(
+        {
+            pt
+            for other in lines
+            if other != line
+            for pt in [reference_intersect(line, other)]
+            if pt is not None
+        }
+    )
+
+
+def reference_order_increasing(points, n: int, base) -> tuple:
+    """Greedy order from `base`: recount every remaining line at each step."""
+    current = set(base)
+    remaining = [i for i in range(n) if i not in current]
+    order: list[int] = []
+    counts: list[int] = []
+    while remaining:
+        best = best_count = None
+        for i in remaining:
+            c = sum(1 for pt in points if i in pt.incident and pt.incident & current)
+            if best_count is None or c < best_count:
+                best, best_count = i, c
+        order.append(best)
+        counts.append(best_count)
+        current.add(best)
+        remaining.remove(best)
+    return tuple(order), tuple(counts)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import Q, random_arrangement, random_subset
+from helpers import (
+    Q,
+    random_arrangement,
+    random_subset,
+    reference_count_on_line,
+    reference_order_increasing,
+    reference_points,
+)
 from linarr.arrangement import (
     COMPLEX_CONJUGATE,
     REAL_IRRATIONAL,
@@ -17,6 +24,7 @@ from linarr.arrangement import (
     RootPair,
     Surd,
     format_arrangement,
+    format_field_header,
     line_through,
     normalize_direction,
     normalize_line,
@@ -354,6 +362,135 @@ def test_order_increasing_counts_nondecreasing():
             # final-step count equals n_H of that line in the full arrangement
             if order:
                 assert counts[-1] <= arr.n_counts[order[-1]]
+
+
+# ----------------------------------------- integer keys against the reference
+#
+# Arrangement builds its lattice from integer point keys; tests/helpers.py
+# keeps the field-scalar computation (pairwise divisions, recounting
+# greedy loop) as the reference it must agree with.
+
+LATTICE_FIELDS = (
+    Q,
+    Field.quadratic(2),
+    Field.quadratic(-3),
+    Field.prime(2),
+    F5,
+    Field.prime(13),
+)
+
+
+def scalar_strategy(field):
+    if field.characteristic:
+        return st.integers(0, field.p - 1).map(field.from_int)
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if field.kind == "quadratic":
+        surd = st.sampled_from((0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3)))
+        return st.builds(lambda u, v: Quad(u, v, field.d), small, surd)
+    return small
+
+
+@st.composite
+def line_strategy(draw, field, anchors, directions):
+    """A line through an anchor, along a shared direction, or at random."""
+    scalar = scalar_strategy(field)
+    kind = draw(st.sampled_from(("anchor", "anchor", "direction", "free")))
+    if kind == "free":
+        a, b = draw(st.tuples(scalar, scalar).filter(lambda ab: ab[0] or ab[1]))
+        return normalize_line(field, a, b, draw(scalar))
+    a, b = draw(st.sampled_from(directions))
+    if kind == "direction":
+        return normalize_line(field, a, b, draw(scalar))
+    x, y = draw(st.sampled_from(anchors))
+    return normalize_line(field, a, b, -(a * x + b * y))
+
+
+@st.composite
+def lattice_case(draw):
+    """(field, members, probe lines for count_on_line, base subset)."""
+    field = draw(st.sampled_from(LATTICE_FIELDS))
+    scalar = scalar_strategy(field)
+    anchors = draw(st.lists(st.tuples(scalar, scalar), min_size=1, max_size=3))
+    directions = draw(
+        st.lists(
+            st.tuples(scalar, scalar).filter(lambda ab: ab[0] or ab[1]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    lines = line_strategy(field, anchors, directions)
+    members = tuple(dict.fromkeys(draw(st.lists(lines, max_size=14))))
+    probes = draw(st.lists(lines, max_size=4))
+    base = draw(st.sets(st.integers(0, 13)))
+    return field, members, probes, sorted(i for i in base if i < len(members))
+
+
+def assert_same_lattice(arr, probes=(), bases=((),)):
+    lines = arr.lines
+    expected = reference_points(lines)
+    assert len(arr.points) == len(expected)
+    for got, want in zip(arr.points, expected):
+        for g, w in ((got.x, want.x), (got.y, want.y)):
+            assert type(g) is type(w) and g == w
+        assert got.incident == want.incident
+    assert arr.n_counts == tuple(
+        sum(1 for pt in expected if i in pt.incident) for i in range(len(lines))
+    )
+    assert arr.char_poly().b2 == sum(pt.multiplicity - 1 for pt in expected)
+    for line in (*lines, *probes):
+        assert arr.count_on_line(line) == reference_count_on_line(lines, line)
+    for base in bases:
+        assert arr.order_increasing(base) == reference_order_increasing(
+            expected, len(lines), base
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_case())
+def test_lattice_matches_reference(case):
+    field, members, probes, base = case
+    assert_same_lattice(Arrangement(field, members), probes, bases=((), base))
+
+
+def pencil_with_parallels(field, through, extra_parallels):
+    """Lines through one point, plus parallels to two of them."""
+    x0, y0 = (field.from_int(t) for t in through)
+    slopes = [field.from_int(t) for t in range(min(field.p or 6, 6))]
+    lines = [normalize_line(field, field.one, m, -(x0 + m * y0)) for m in slopes]
+    lines.append(normalize_line(field, field.zero, field.one, -y0))
+    for a, b in (lines[0].direction, lines[-1].direction):
+        for k in range(1, extra_parallels + 1):
+            shifted = normalize_line(field, a, b, field.from_int(k) - a * x0 - b * y0)
+            if shifted not in lines:
+                lines.append(shifted)
+    return Arrangement(field, lines)
+
+
+def field_id(field):
+    return format_field_header(field).removeprefix("field ").replace(" ", "")
+
+
+@pytest.mark.parametrize("field", LATTICE_FIELDS, ids=field_id)
+@pytest.mark.parametrize("extra_parallels", (0, 1, 3))
+def test_lattice_matches_reference_on_tie_heavy_shapes(field, extra_parallels):
+    """All-concurrent pencils, then parallel classes added to them: most
+    greedy steps tie, so the order is decided by the index tie-break."""
+    arr = pencil_with_parallels(field, (1, 2), extra_parallels)
+    n = len(arr)
+    rng = random.Random(n * 131 + extra_parallels)
+    bases = [(), tuple(range(n)), (0,), (n - 1,)]
+    bases += [tuple(random_subset(rng, n)) for _ in range(6)]
+    probes = [normalize_line(field, field.one, field.one, field.from_int(k)) for k in range(4)]
+    assert_same_lattice(arr, probes, bases)
+
+
+def test_lattice_matches_reference_on_grids_and_fixtures():
+    grids = [
+        Arrangement.from_triples(F, [(1, 0, -k) for k in range(m)] + [(0, 1, -k) for k in range(m)])
+        for F, m in ((Q, 5), (F5, 5), (Field.prime(2), 2))
+    ]
+    for arr in (*grids, squares_diagonals(), star7_transversal_sqrt2(), f3_all(), three_parallels()):
+        assert_same_lattice(arr, bases=((), (0,), tuple(range(len(arr) // 2))))
 
 
 # ----------------------------------------------------------------- file IO

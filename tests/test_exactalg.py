@@ -70,6 +70,25 @@ def test_coerce_rejects_bool():
             assert not field.is_element(flag)
 
 
+def test_arithmetic_rejects_bool_operands():
+    one_mod, one_quad = Mod(1, 5), Quad(1, 0, 2)
+    assert one_mod + 1 == Mod(2, 5) and one_quad * 1 == one_quad
+    for x in (one_mod, one_quad):
+        for flag in (True, False):
+            for op in (
+                lambda: x + flag,
+                lambda: flag + x,
+                lambda: x - flag,
+                lambda: flag - x,
+                lambda: x * flag,
+                lambda: flag * x,
+                lambda: x / flag,
+                lambda: flag / x,
+            ):
+                with pytest.raises(PreconditionError, match="is not a scalar"):
+                    op()
+
+
 def test_quadratic_field_caps_d():
     largest_prime_below = 999999999989
     assert Field.quadratic(largest_prime_below).d == largest_prime_below

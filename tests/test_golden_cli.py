@@ -28,6 +28,11 @@ COMMANDS = (
     ("criteria", "--format", "json-lines"),
     ("free",),
     ("pair", "{file}", "0"),
+    ("order",),
+    ("order", "{file}", "--sub", "0", "1"),
+    ("fq-count",),
+    ("fq-spectrum",),
+    ("verify", "--format", "json-lines"),
 )
 
 
