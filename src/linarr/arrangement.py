@@ -391,20 +391,20 @@ class Arrangement:
     )
 
     def __init__(self, field: Field, lines):
-        lines = tuple(lines)
         index: dict[Line, int] = {}
         for i, line in enumerate(lines):
             if not isinstance(line, Line):
                 raise PreconditionError(f"expected a Line, got {line!r}")
-            # re-normalize to catch hand-built unnormalized triples
+            # re-normalize to catch hand-built unnormalized triples; store
+            # canon, since an equal triple of plain ints hashes differently
             canon = normalize_line(field, line.a, line.b, line.c)
             if canon != line:
                 raise PreconditionError(f"line {line} is not normalized")
-            if line in index:
+            if canon in index:
                 raise PreconditionError(f"duplicate line {line}")
-            index[line] = i
+            index[canon] = i
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "lines", tuple(index))
         object.__setattr__(self, "_index", index)
         self._build_caches()
 

@@ -39,6 +39,7 @@ from .freeness import (
     PLANE_PRIME_CAP,
     decide_free,
     deletion_pair,
+    external_candidates,
     run_criteria,
     verify_root_window,
 )
@@ -254,10 +255,11 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
             raise InvariantViolation(f"freeness verdict flips at member target {i}")
     checks.append("target-independence")
 
-    run_criteria(A)
+    externals = external_candidates(A)
+    run_criteria(A, externals)
     checks.append("criteria-consistency")
 
-    verify_root_window(A)
+    verify_root_window(A, externals)
     checks.append("root-window")
 
     if A.field.kind == "prime" and A.field.p <= plane_cap:

@@ -15,6 +15,18 @@ Matrices are immutable and row-major. kernel_basis returns the reduced
 row echelon form of the standard free-variable parametrization of the
 null space, which makes the basis deterministic: the same matrix always
 yields the same vectors in the same order.
+
+Elimination runs on plain ints. Each row is lifted once: over Q it is
+scaled by the lcm of its denominators; over Q(sqrt d) it becomes pairs
+of ints in Z[sqrt d] over one common denominator; over F_p it becomes
+its residues. Q and Q(sqrt d) then use fraction-free Gauss-Jordan
+(Bareiss, Math. Comp. 22, 1968): with head the new pivot and prev the
+previous one, every other row becomes (head*row - f*pivot_row) / prev,
+a division that is exact by Sylvester's identity. In Z[sqrt d] it is
+multiplication by conj(prev) followed by exact division of both parts
+by the norm of prev. F_p uses ordinary Gauss-Jordan modulo p. Every
+pivot ends equal to the last one, D, so each returned cell is entry/D,
+and at most one field scalar is built per returned cell.
 """
 
 from __future__ import annotations
@@ -510,31 +522,155 @@ class ExactMatrix:
 
 
 def _rref_rows(rows: list[list], ncols: int, one) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The field is type(one). The rows are lifted to ints once and
+    eliminated there; only the returned cells become field scalars.
+    """
+    if type(one) is Mod:
+        return _rref_residues(rows, ncols, one)
+    if type(one) is Quad:
+        return _rref_quadratic(rows, ncols, one)
+    return _rref_rational(rows, ncols, one)
+
+
+def _rref_rational(rows, ncols, one):
+    """Fraction-free Gauss-Jordan over Z; every pivot ends equal to prev."""
+    lifted = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            lifted.append(ints)
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
+        r = len(pivots)
+        for i in range(r, len(lifted)):
+            if lifted[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        head = rows[r][c]
-        if head != one:
-            rows[r] = [x / head for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        lifted[r], lifted[i] = lifted[i], lifted[r]
+        prow = lifted[r]
+        head = prow[c]
+        for i, row in enumerate(lifted):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                lifted[i] = [(head * a - f * b) // prev for a, b in zip(row, prow)]
+            elif head != prev:
+                lifted[i] = [head * a // prev for a in row]
+        prev = head
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(lifted):
             break
-    return rows[:r], pivots
+    zero = one - one
+    out = [
+        [one if x == prev else Fraction(x, prev) if x else zero for x in row]
+        for row in lifted[: len(pivots)]
+    ]
+    return out, pivots
+
+
+def _rref_quadratic(rows, ncols, one):
+    """Fraction-free Gauss-Jordan over Z[sqrt d], rows as (us, vs) int lists.
+
+    Division by prev is multiplication by its conjugate, then exact
+    division of both parts by its norm.
+    """
+    d = one.d
+    lifted = []
+    for row in rows:
+        den = math.lcm(*(x.u.denominator for x in row), *(x.v.denominator for x in row))
+        us = [x.u.numerator * (den // x.u.denominator) for x in row]
+        vs = [x.v.numerator * (den // x.v.denominator) for x in row]
+        if any(us) or any(vs):
+            lifted.append((us, vs))
+    pivots: list[int] = []
+    pu, pv, norm = 1, 0, 1
+    for c in range(ncols):
+        r = len(pivots)
+        for i in range(r, len(lifted)):
+            if lifted[i][0][c] or lifted[i][1][c]:
+                break
+        else:
+            continue
+        lifted[r], lifted[i] = lifted[i], lifted[r]
+        bus, bvs = lifted[r]
+        hu, hv = bus[c], bvs[c]
+        dhv, dpv = d * hv, d * pv
+        for i, (us, vs) in enumerate(lifted):
+            fu, fv = us[c], vs[c]
+            if i == r or not (fu or fv or hu != pu or hv != pv):
+                continue
+            dfv = d * fv
+            # x = head * row - f * pivot row, then x / prev
+            xu = [
+                hu * au + dhv * av - fu * bu - dfv * bv
+                for au, av, bu, bv in zip(us, vs, bus, bvs)
+            ]
+            xv = [
+                hu * av + hv * au - fu * bv - fv * bu
+                for au, av, bu, bv in zip(us, vs, bus, bvs)
+            ]
+            if pv:
+                lifted[i] = (
+                    [(a * pu - dpv * b) // norm for a, b in zip(xu, xv)],
+                    [(b * pu - a * pv) // norm for a, b in zip(xu, xv)],
+                )
+            else:
+                lifted[i] = ([a // pu for a in xu], [b // pu for b in xv])
+        pu, pv, norm = hu, hv, hu * hu - d * hv * hv
+        pivots.append(c)
+        if len(pivots) == len(lifted):
+            break
+    zero = one - one
+    dpv = d * pv
+
+    def scalar(a, b):
+        # (a + b sqrt d) / (pu + pv sqrt d)
+        if not (a or b):
+            return zero
+        if a == pu and b == pv:
+            return one
+        return Quad(Fraction(a * pu - dpv * b, norm), Fraction(b * pu - a * pv, norm), d)
+
+    out = [[scalar(a, b) for a, b in zip(us, vs)] for us, vs in lifted[: len(pivots)]]
+    return out, pivots
+
+
+def _rref_residues(rows, ncols, one):
+    """Gauss-Jordan on residue ints modulo p."""
+    p = one.p
+    lifted = [ints for ints in ([x.value for x in row] for row in rows) if any(ints)]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        for i in range(r, len(lifted)):
+            if lifted[i][c]:
+                break
+        else:
+            continue
+        lifted[r], lifted[i] = lifted[i], lifted[r]
+        prow = lifted[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = lifted[r] = [a * inv % p for a in prow]
+        for i, row in enumerate(lifted):
+            f = row[c]
+            if f and i != r:
+                lifted[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+        pivots.append(c)
+        if len(pivots) == len(lifted):
+            break
+    zero = one - one
+    out = [
+        [one if x == 1 else Mod(x, p) if x else zero for x in row]
+        for row in lifted[: len(pivots)]
+    ]
+    return out, pivots
 
 
 def rref(matrix: ExactMatrix) -> tuple[list[list], list[int]]:

@@ -731,11 +731,15 @@ def _scan_subarrangements(A: Arrangement, criterion, name: str) -> CriterionEntr
     return _inapplicable(name, "no qualifying subarrangement among candidates")
 
 
-def run_criteria(A: Arrangement) -> CriterionReport:
+def run_criteria(A: Arrangement, externals=None) -> CriterionReport:
     """Evaluate every criterion with automatically chosen inputs and
-    hard-check each conclusion against the exact verdict."""
+    hard-check each conclusion against the exact verdict.
+
+    externals defaults to external_candidates(A).
+    """
     cert = decide_free(A)
-    externals = external_candidates(A)
+    if externals is None:
+        externals = external_candidates(A)
     entries = [
         root_incidence(A, externals),
         _scan_members(A, deletion_pair, "deletion_pair"),

@@ -153,3 +153,38 @@ def reference_order_increasing(points, n: int, base) -> tuple:
         current.add(best)
         remaining.remove(best)
     return tuple(order), tuple(counts)
+
+
+# ------------------------------------------------- reference RREF (field scalars)
+#
+# Gauss-Jordan elimination carried out in field arithmetic, one scalar
+# per cell update. exactalg._rref_rows computes the same reduced form on
+# integer lifts; the RREF is unique, so the two must agree cell for cell.
+
+
+def reference_rref(rows: list[list], ncols: int, one) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        head = rows[r][c]
+        if head != one:
+            rows[r] = [x / head for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots

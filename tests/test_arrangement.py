@@ -87,6 +87,23 @@ def test_constructor_rejects_duplicates_and_raw_triples():
         Arrangement(Q, [Line(Fraction(2), Fraction(4), Fraction(6))])
 
 
+def test_constructor_keeps_canonical_lines():
+    F5 = Field.prime(5)
+    hand_built = [Line(1, 0, 0), Line(0, 1, -1), Line(1, 1, -3)]
+    A = Arrangement(F5, hand_built)
+    canon = [normalize_line(F5, ln.a, ln.b, ln.c) for ln in hand_built]
+    assert normalize_line(F5, 1, 1, -3) in A
+    assert A.lines == tuple(canon)
+    assert all(type(x) is type(F5.one) for ln in A.lines for x in (ln.a, ln.b, ln.c))
+    assert [A.index_of(ln) for ln in canon] == [0, 1, 2]
+    assert Arrangement(Q, [Line(1, 0, -2)]).lines[0].c == Fraction(-2)
+    assert type(Arrangement(Q, [Line(1, 0, -2)]).lines[0].c) is Fraction
+    with pytest.raises(PreconditionError):
+        Arrangement(F5, [Line(1, 1, 2), Line(1, 1, -3)])
+    with pytest.raises(PreconditionError):
+        Arrangement(F5, [Line(2, 2, 1)])
+
+
 def test_line_through():
     assert line_through(Q, (0, 0), (1, 1)) == normalize_line(Q, 1, -1, 0)
     assert line_through(Q, (0, 1), (2, 1)) == normalize_line(Q, 0, 1, -1)

@@ -12,8 +12,8 @@ from itertools import product
 
 import pytest
 
-from helpers import Q, random_arrangement, random_multiarrangement
-from linarr import derivations
+from helpers import Q, random_arrangement, random_multiarrangement, reference_rref
+from linarr import derivations, exactalg
 from linarr.arrangement import Arrangement, normalize_direction
 from linarr.derivations import (
     AT_INFINITY,
@@ -533,6 +533,54 @@ def test_unbalanced_closed_form():
             assert not M.is_balanced()
             top = max(M.mults)
             assert exponents(M).pair == (M.size - top, top)
+
+
+def _unbalanced_multiarrangements(rng, field, count):
+    """Odd |m|, or one multiplicity above the sum of the others."""
+    dirs = [(field.zero, field.one)]
+    if field.kind == "quadratic":
+        dirs += [(field.one, Quad(u, v, field.d)) for u in range(-2, 3) for v in (-1, 1)]
+    ts = range(min(field.p, 11)) if field.characteristic else range(-5, 6)
+    dirs += [(field.one, field.from_int(t)) for t in ts]
+    cases = []
+    while len(cases) < count:
+        h = rng.randint(1, 5)
+        mults = [rng.randint(1, 4) for _ in range(h)]
+        if len(cases) % 2:
+            i = rng.randrange(h)
+            mults[i] = sum(mults) - mults[i] + rng.randint(1, 3)
+        elif sum(mults) % 2 == 0:
+            mults[rng.randrange(h)] += 1
+        cases.append(Multiarrangement(field, rng.sample(dirs, h), mults))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, Field.quadratic(2), Field.quadratic(-3), F5, Field.prime(101)],
+    ids=str,
+)
+def test_unbalanced_exponents_match_reference_rref(field, monkeypatch):
+    cases = _unbalanced_multiarrangements(random.Random(31), field, 16)
+
+    def run():
+        exponents.cache_clear()
+        out = []
+        for M in cases:
+            e = exponents(M)
+            out.append((e.d1, e.d2, e.theta1, e.theta2))
+        exponents.cache_clear()
+        return out
+
+    fast = run()
+    monkeypatch.setattr(exactalg, "_rref_rows", reference_rref)
+    monkeypatch.setattr(derivations, "_rref_rows", reference_rref)
+    assert run() == fast
+    for M, (d1, d2, _, _) in zip(cases, fast):
+        assert d1 < d2
+        top = max(M.mults)
+        if 2 * top > M.size:
+            assert (d1, d2) == (M.size - top, top)
 
 
 def test_balanced_gap_bound_char_zero():

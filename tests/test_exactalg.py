@@ -1,15 +1,20 @@
 """Scalar arithmetic, parsing, and exact kernel computations."""
 
+import cProfile
+import pstats
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_rref
 from linarr import ExactMatrix, Field, Mod, ParseError, PreconditionError, Quad
 from linarr.exactalg import (
     PRIMALITY_CAP,
     SQUAREFREE_CAP,
+    _rref_rows,
     is_prime,
     kernel_basis,
     rank,
@@ -325,3 +330,143 @@ def test_kernel_basis_is_reduced_echelon(m):
     again, pivots = rref(ExactMatrix.from_rows(Q, [list(v) for v in basis]))
     assert [tuple(r) for r in again] == list(basis)
     assert len(pivots) == len(basis)
+
+
+# ------------------------------------------------ RREF kernel against the oracle
+#
+# _rref_rows eliminates on integer lifts; reference_rref is Gauss-Jordan
+# in field scalars. The RREF is unique, so rows, scalar types, hashes
+# and pivots must all agree.
+
+ORACLE_FIELDS = (
+    Q,
+    QR2,
+    Field.quadratic(-3),
+    Field.quadratic(5),
+    Field.prime(2),
+    F5,
+    Field.prime(101),
+)
+
+
+def _oracle_scalars(field):
+    if field.kind == "prime":
+        return st.integers(0, field.p - 1).map(lambda a: Mod(a, field.p))
+    fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    if field.kind == "rationals":
+        return fracs
+    return st.builds(lambda u, v: Quad(u, v, field.d), fracs, fracs)
+
+
+@st.composite
+def _oracle_cases(draw):
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    scalars = st.one_of(st.just(field.zero), _oracle_scalars(field))
+
+    def matrix(nrows, ncols):
+        row = st.lists(scalars, min_size=ncols, max_size=ncols)
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+    ncols = draw(st.integers(0, 7))
+    nrows = draw(st.integers(0, 7))
+    shape = draw(st.sampled_from(("dense", "product", "zero rows", "duplicates")))
+    if shape == "product":
+        k = draw(st.integers(1, 3))
+        rows = _product(field, matrix(nrows, k), matrix(k, ncols), ncols)
+    else:
+        rows = matrix(nrows, ncols)
+    if shape == "zero rows":
+        for _ in range(draw(st.integers(1, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), [field.zero] * ncols)
+    if shape == "duplicates" and rows:
+        for _ in range(draw(st.integers(1, 3))):
+            copy = list(rows[draw(st.integers(0, len(rows) - 1))])
+            rows.insert(draw(st.integers(0, len(rows))), copy)
+    return field, rows, ncols
+
+
+def _product(field, left, right, ncols):
+    """left times right: rank at most len(right)."""
+    return [
+        [sum((x * r[j] for x, r in zip(row, right)), field.zero) for j in range(ncols)]
+        for row in left
+    ]
+
+
+def _assert_same_rref(got, want):
+    (got_rows, got_pivots), (want_rows, want_pivots) = got, want
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows
+    for grow, wrow in zip(got_rows, want_rows):
+        assert [type(x) for x in grow] == [type(x) for x in wrow]
+        assert [hash(x) for x in grow] == [hash(x) for x in wrow]
+
+
+@given(_oracle_cases())
+@example((Q, [], 0))
+@example((Q, [], 3))
+@example((QR2, [[QR2.zero]], 1))
+@example((Field.prime(2), [[Mod(1, 2)], [Mod(1, 2)]], 1))
+@settings(max_examples=400, deadline=None)
+def test_rref_rows_matches_reference(case):
+    field, rows, ncols = case
+    want = reference_rref(rows, ncols, field.one)
+    _assert_same_rref(_rref_rows(rows, ncols, field.one), want)
+
+
+def test_rref_rows_matches_reference_on_wide_random_matrices():
+    rng = random.Random(5)
+    for field in ORACLE_FIELDS:
+        for nrows, ncols, k in ((12, 14, 12), (14, 12, 5), (9, 16, 9)):
+            left = [[_seeded_scalar(rng, field) for _ in range(k)] for _ in range(nrows)]
+            right = [[_seeded_scalar(rng, field) for _ in range(ncols)] for _ in range(k)]
+            rows = _product(field, left, right, ncols)
+            _assert_same_rref(
+                _rref_rows(rows, ncols, field.one), reference_rref(rows, ncols, field.one)
+            )
+
+
+def _seeded_scalar(rng, field):
+    if field.kind == "prime":
+        return Mod(rng.randrange(field.p), field.p)
+    u = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if field.kind == "rationals":
+        return u
+    return Quad(u, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), field.d)
+
+
+def _scalar_constructions(call) -> dict:
+    """Fraction, Quad and Mod objects built by call(), from a cProfile pass."""
+    profile = cProfile.Profile()
+    profile.runcall(call)
+    constructors = {
+        (code.co_filename, code.co_firstlineno, code.co_name): kind
+        for kind, code in (
+            (Fraction, Fraction.__new__.__code__),
+            (Quad, Quad.__init__.__code__),
+            (Mod, Mod.__init__.__code__),
+        )
+    }
+    counts = {Fraction: 0, Quad: 0, Mod: 0}
+    for key, (_, calls, *_rest) in pstats.Stats(profile).stats.items():
+        if key in constructors:
+            counts[constructors[key]] += calls
+    return counts
+
+
+@pytest.mark.parametrize("field", [Q, QR2, Field.prime(101)], ids=str)
+def test_rref_rows_builds_scalars_only_for_output_cells(field):
+    rng = random.Random(24)
+    rows = [[_seeded_scalar(rng, field) for _ in range(26)] for _ in range(24)]
+    result = []
+    counts = _scalar_constructions(lambda: result.append(_rref_rows(rows, 26, field.one)))
+    out_rows, pivots = result[0]
+    assert len(pivots) == 24
+    cells = sum(len(row) for row in out_rows)
+    # the lift reads numerators, components and residues; it builds nothing
+    if field.kind == "quadratic":
+        assert counts[Quad] <= cells
+        # each Quad holds two Fractions, which Quad() coerces once more
+        assert counts[Fraction] <= 4 * cells
+    else:
+        assert counts[type(field.one)] <= cells
