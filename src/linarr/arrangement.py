@@ -8,12 +8,12 @@ line indices at each), the parallel classes, and the per-line counts
 n_H = number of distinct points in which the other members meet H.
 
 The caches are built from integer point keys. Each member is lifted
-once to integer coordinates, two members meet in an integer cross
-product, and the meeting point is keyed by a canonical int tuple, so
-points are deduplicated without field arithmetic and the field scalars
-of an IncidencePoint are built once per distinct point, not once per
-pair. count_on_line uses the same keys; order_increasing updates its
-counts incrementally.
+once to ints (exactalg's integer form), two members meet in an integer
+cross product, and the meeting point is keyed by a canonical int tuple,
+so points are deduplicated without field arithmetic and the field
+scalars of an IncidencePoint are built once per distinct point, not
+once per pair. count_on_line uses the same keys; order_increasing
+updates its counts incrementally.
 
 The characteristic polynomial is always t^2 - n*t + b2 with
 b2 = sum over points of (multiplicity - 1), so it lives in Z[t] no
@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import InvariantViolation, MembershipError, ParseError, PreconditionError
 from .exactalg import (
@@ -38,8 +38,8 @@ from .exactalg import (
     QUADRATIC,
     RATIONALS,
     Field,
-    Mod,
-    Quad,
+    _lift,
+    _scalar,
     squarefree_decomposition,
 )
 
@@ -93,23 +93,17 @@ class IncidencePoint:
 
 # ------------------------------------------------- integer point keys
 #
-# Lifted lines and canonical point keys, so equal points get equal keys:
+# Members meet on their exactalg._lift rows. Each meet returns the key
+# (x, y, den) of the point (x/den, y/den), canonical so that equal
+# points get equal keys, or None for parallel lines:
 #
-#   Q         (a, b, c) scaled by the lcm of the denominators; key
-#             (X, Y, D) with gcd 1 and D > 0 for the point (X/D, Y/D)
-#   Q(sqrt d) (au, av, bu, bv, cu, cv) for a = au + av*sqrt(d), ...; key
-#             (xu, xv, yu, yv, N) with gcd 1 and N > 0 for the point
-#             ((xu + xv*sqrt(d))/N, (yu + yv*sqrt(d))/N)
-#   F_p       (a, b, c) residues; key (x, y) residues
+#   Q         x, y ints; gcd(x, y, den) = 1 and den > 0
+#   Q(sqrt d) x, y (u, v) int pairs for u + v*sqrt(d); den the norm of
+#             the determinant, gcd of all five ints 1 and den > 0
+#   F_p       x, y residues; den 1
 
 
-def _lift_rational(field: Field, line: Line) -> tuple:
-    a, b, c = (field.coerce(t) for t in (line.a, line.b, line.c))
-    m = lcm(a.denominator, b.denominator, c.denominator)
-    return tuple(t.numerator * (m // t.denominator) for t in (a, b, c))
-
-
-def _meet_rational(l1: tuple, l2: tuple, _):
+def _meet_rational(l1, l2, _):
     a1, b1, c1 = l1
     a2, b2, c2 = l2
     det = a1 * b2 - a2 * b1
@@ -123,21 +117,9 @@ def _meet_rational(l1: tuple, l2: tuple, _):
     return (x // g, y // g, det // g)
 
 
-def _point_rational(key: tuple, _) -> tuple:
-    x, y, det = key
-    return (Fraction(x, det), Fraction(y, det))
-
-
-def _lift_quadratic(field: Field, line: Line) -> tuple:
-    coeffs = [field.coerce(t) for t in (line.a, line.b, line.c)]
-    parts = [r for q in coeffs for r in (q.u, q.v)]
-    m = lcm(*(r.denominator for r in parts))
-    return tuple(r.numerator * (m // r.denominator) for r in parts)
-
-
-def _meet_quadratic(l1: tuple, l2: tuple, d: int):
-    a1u, a1v, b1u, b1v, c1u, c1v = l1
-    a2u, a2v, b2u, b2v, c2u, c2v = l2
+def _meet_quadratic(l1, l2, d: int):
+    (a1u, b1u, c1u), (a1v, b1v, c1v) = l1
+    (a2u, b2u, c2u), (a2v, b2v, c2v) = l2
     # det = a1*b2 - a2*b1, X = b1*c2 - b2*c1, Y = a2*c1 - a1*c2 in Z[sqrt d]
     du = a1u * b2u + d * a1v * b2v - a2u * b1u - d * a2v * b1v
     dv = a1u * b2v + a1v * b2u - a2u * b1v - a2v * b1u
@@ -149,56 +131,25 @@ def _meet_quadratic(l1: tuple, l2: tuple, d: int):
     yv = a2u * c1v + a2v * c1u - a1u * c2v - a1v * c2u
     # times conj(det) = du - dv*sqrt(d), over the norm N(det)
     norm = du * du - d * dv * dv
-    key = (
-        xu * du - d * xv * dv,
-        xv * du - xu * dv,
-        yu * du - d * yv * dv,
-        yv * du - yu * dv,
-    )
-    g = gcd(*key, norm)
+    xu, xv = xu * du - d * xv * dv, xv * du - xu * dv
+    yu, yv = yu * du - d * yv * dv, yv * du - yu * dv
+    g = gcd(xu, xv, yu, yv, norm)
     if norm < 0:
         g = -g
-    return (key[0] // g, key[1] // g, key[2] // g, key[3] // g, norm // g)
+    return ((xu // g, xv // g), (yu // g, yv // g), norm // g)
 
 
-def _point_quadratic(key: tuple, d: int) -> tuple:
-    xu, xv, yu, yv, norm = key
-    return (
-        Quad(Fraction(xu, norm), Fraction(xv, norm), d),
-        Quad(Fraction(yu, norm), Fraction(yv, norm), d),
-    )
-
-
-def _lift_prime(field: Field, line: Line) -> tuple:
-    return tuple(field.coerce(t).value for t in (line.a, line.b, line.c))
-
-
-def _meet_prime(l1: tuple, l2: tuple, p: int):
+def _meet_prime(l1, l2, p: int):
     a1, b1, c1 = l1
     a2, b2, c2 = l2
     det = (a1 * b2 - a2 * b1) % p
     if not det:
         return None
     inv = pow(det, -1, p)
-    return ((b1 * c2 - b2 * c1) * inv % p, (a2 * c1 - a1 * c2) * inv % p)
+    return ((b1 * c2 - b2 * c1) * inv % p, (a2 * c1 - a1 * c2) * inv % p, 1)
 
 
-def _point_prime(key: tuple, p: int) -> tuple:
-    return (Mod(key[0], p), Mod(key[1], p))
-
-
-_INT_LATTICE = {
-    RATIONALS: (_lift_rational, _meet_rational, _point_rational),
-    QUADRATIC: (_lift_quadratic, _meet_quadratic, _point_quadratic),
-    PRIME: (_lift_prime, _meet_prime, _point_prime),
-}
-
-
-def _int_lattice(field: Field) -> tuple:
-    """(lift a line, meet two lifts, key -> field scalars, param) for a
-    field; param is what meet and point need: d, p, or None over Q."""
-    lift, meet, point = _INT_LATTICE[field.kind]
-    return lift, meet, point, field.d if field.kind == QUADRATIC else field.p
+_MEET = {RATIONALS: _meet_rational, QUADRATIC: _meet_quadratic, PRIME: _meet_prime}
 
 
 def line_through(field: Field, p, q) -> Line:
@@ -414,8 +365,8 @@ class Arrangement:
     def _build_caches(self):
         field, lines = self.field, self.lines
         n = len(lines)
-        lift, meet, point, param = _int_lattice(field)
-        lifted = tuple(lift(field, line) for line in lines)
+        one, meet, param = field.one, _MEET[field.kind], field.d or field.p
+        lifted = tuple(_lift((line.a, line.b, line.c), one) for line in lines)
         by_key: dict[tuple, set[int]] = {}
         for i in range(n):
             li = lifted[i]
@@ -424,8 +375,10 @@ class Arrangement:
                 if key is not None:
                     by_key.setdefault(key, set()).update((i, j))
         points = tuple(
-            IncidencePoint(*point(key, param), frozenset(incident))
-            for key, incident in by_key.items()
+            IncidencePoint(
+                _scalar(x, den, one), _scalar(y, den, one), frozenset(incident)
+            )
+            for (x, y, den), incident in by_key.items()
         )
         points_on: list[list[int]] = [[] for _ in range(n)]
         for k, pt in enumerate(points):
@@ -512,9 +465,12 @@ class Arrangement:
         with a zero determinant, like a parallel line, so it adds no key.
         """
         field = self.field
-        lift, meet, _, param = _int_lattice(field)
+        meet, param = _MEET[field.kind], field.d or field.p
         i = self._index.get(line)
-        mine = lift(field, line) if i is None else self._lifted[i]
+        if i is None:
+            mine = _lift([field.coerce(t) for t in (line.a, line.b, line.c)], field.one)
+        else:
+            mine = self._lifted[i]
         keys = {meet(mine, other, param) for other in self._lifted}
         keys.discard(None)
         return len(keys)
@@ -697,9 +653,9 @@ def load_arrangement(path) -> Arrangement:
 
 
 def format_field_header(field: Field) -> str:
-    if field.kind == "rationals":
+    if field.kind == RATIONALS:
         return "field Q"
-    if field.kind == "quadratic":
+    if field.kind == QUADRATIC:
         return f"field Q sqrt {field.d}"
     return f"field F {field.p}"
 

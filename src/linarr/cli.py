@@ -21,6 +21,7 @@ import sys
 from collections import Counter
 
 from .arrangement import (
+    TWO_INTEGER,
     Arrangement,
     CharPoly,
     format_arrangement,
@@ -35,6 +36,7 @@ from .derivations import (
     ziegler_restriction,
 )
 from .errors import InvariantViolation, LinarrError, ParseError, PreconditionError
+from .exactalg import PRIME
 from .freeness import (
     PLANE_PRIME_CAP,
     decide_free,
@@ -216,8 +218,13 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
     InvariantViolation on the first failure. corrupt_b2 shifts the
     claimed b2 before validation, so any nonzero value must be caught
     (the empty arrangement by the range check, everything else by the
-    deletion-restriction identity).
+    deletion-restriction identity). A plane_cap above PLANE_PRIME_CAP is
+    rejected before any check runs: the plane scans stop at that cap.
     """
+    if plane_cap > PLANE_PRIME_CAP:
+        raise PreconditionError(
+            f"plane cap {plane_cap} exceeds the enumeration cap {PLANE_PRIME_CAP}"
+        )
     checks = []
     n = len(A)
     chi = A.char_poly()
@@ -262,7 +269,7 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
     verify_root_window(A, externals)
     checks.append("root-window")
 
-    if A.field.kind == "prime" and A.field.p <= plane_cap:
+    if A.field.kind == PRIME and A.field.p <= plane_cap:
         from . import fqscan
 
         p = A.field.p
@@ -278,7 +285,7 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
             if claimed.eval(value) < 0:
                 raise InvariantViolation(f"chi({value}) < 0 on a plane line")
         roots = chi.roots()
-        if cert.is_free and roots.classification == "two-integer":
+        if cert.is_free and roots.classification == TWO_INTEGER:
             low, high = roots.low, roots.high
             for value, _ in spectrum.members:
                 if not (value <= low or value == high):
@@ -400,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=PLANE_PRIME_CAP,
         metavar="P",
-        help="largest prime for which the finite-plane checks run",
+        help="largest prime for which the finite-plane checks run "
+        f"(at most {PLANE_PRIME_CAP})",
     )
     return parser
 

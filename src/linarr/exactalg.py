@@ -16,17 +16,23 @@ row echelon form of the standard free-variable parametrization of the
 null space, which makes the basis deterministic: the same matrix always
 yields the same vectors in the same order.
 
-Elimination runs on plain ints. Each row is lifted once: over Q it is
-scaled by the lcm of its denominators; over Q(sqrt d) it becomes pairs
-of ints in Z[sqrt d] over one common denominator; over F_p it becomes
-its residues. Q and Q(sqrt d) then use fraction-free Gauss-Jordan
-(Bareiss, Math. Comp. 22, 1968): with head the new pivot and prev the
-previous one, every other row becomes (head*row - f*pivot_row) / prev,
-a division that is exact by Sylvester's identity. In Z[sqrt d] it is
-multiplication by conj(prev) followed by exact division of both parts
-by the norm of prev. F_p uses ordinary Gauss-Jordan modulo p. Every
-pivot ends equal to the last one, D, so each returned cell is entry/D,
-and at most one field scalar is built per returned cell.
+Integer form: _lift(vec, one) puts a vector over one common
+denominator and returns the numerators: ints over Q; over Q(sqrt d),
+for entries u + v*sqrt(d), a pair (u parts, v parts) of int lists;
+residues over F_p. _scalar(num, den, one) builds num/den as a field
+scalar, with num a (u, v) pair over Q(sqrt d) and den 1 over F_p. The
+intersection lattice of an arrangement and the elimination below
+compute on these ints and build field scalars only for results.
+
+Elimination runs on the lifted rows. Q and Q(sqrt d) use fraction-free
+Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): with head the new pivot
+and prev the previous one, every other row becomes
+(head*row - f*pivot_row) / prev, a division that is exact by
+Sylvester's identity. In Z[sqrt d] it is multiplication by conj(prev)
+followed by exact division of both parts by the norm of prev. F_p uses
+ordinary Gauss-Jordan modulo p. Every pivot ends equal to the last
+one, D, so each returned cell is entry/D, and at most one field scalar
+is built per returned cell.
 """
 
 from __future__ import annotations
@@ -521,6 +527,29 @@ class ExactMatrix:
         return tuple(out)
 
 
+def _lift(vec, one):
+    """vec in integer form over the field type(one); see the module docstring."""
+    if type(one) is Mod:
+        return [x.value for x in vec]
+    if type(one) is Quad:
+        den = math.lcm(*(x.u.denominator for x in vec), *(x.v.denominator for x in vec))
+        return (
+            [x.u.numerator * (den // x.u.denominator) for x in vec],
+            [x.v.numerator * (den // x.v.denominator) for x in vec],
+        )
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec]
+
+
+def _scalar(num, den, one):
+    """num/den as a scalar of type(one), num and den in integer form."""
+    if type(one) is Mod:
+        return Mod(num, one.p)
+    if type(one) is Quad:
+        return Quad(Fraction(num[0], den), Fraction(num[1], den), one.d)
+    return Fraction(num, den)
+
+
 def _rref_rows(rows: list[list], ncols: int, one) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
@@ -536,12 +565,7 @@ def _rref_rows(rows: list[list], ncols: int, one) -> tuple[list[list], list[int]
 
 def _rref_rational(rows, ncols, one):
     """Fraction-free Gauss-Jordan over Z; every pivot ends equal to prev."""
-    lifted = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            lifted.append(ints)
+    lifted = [ints for ints in (_lift(row, one) for row in rows) if any(ints)]
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
@@ -568,7 +592,7 @@ def _rref_rational(rows, ncols, one):
             break
     zero = one - one
     out = [
-        [one if x == prev else Fraction(x, prev) if x else zero for x in row]
+        [one if x == prev else _scalar(x, prev, one) if x else zero for x in row]
         for row in lifted[: len(pivots)]
     ]
     return out, pivots
@@ -581,13 +605,9 @@ def _rref_quadratic(rows, ncols, one):
     division of both parts by its norm.
     """
     d = one.d
-    lifted = []
-    for row in rows:
-        den = math.lcm(*(x.u.denominator for x in row), *(x.v.denominator for x in row))
-        us = [x.u.numerator * (den // x.u.denominator) for x in row]
-        vs = [x.v.numerator * (den // x.v.denominator) for x in row]
-        if any(us) or any(vs):
-            lifted.append((us, vs))
+    lifted = [
+        (us, vs) for us, vs in (_lift(row, one) for row in rows) if any(us) or any(vs)
+    ]
     pivots: list[int] = []
     pu, pv, norm = 1, 0, 1
     for c in range(ncols):
@@ -635,7 +655,7 @@ def _rref_quadratic(rows, ncols, one):
             return zero
         if a == pu and b == pv:
             return one
-        return Quad(Fraction(a * pu - dpv * b, norm), Fraction(b * pu - a * pv, norm), d)
+        return _scalar((a * pu - dpv * b, b * pu - a * pv), norm, one)
 
     out = [[scalar(a, b) for a, b in zip(us, vs)] for us, vs in lifted[: len(pivots)]]
     return out, pivots
@@ -644,7 +664,7 @@ def _rref_quadratic(rows, ncols, one):
 def _rref_residues(rows, ncols, one):
     """Gauss-Jordan on residue ints modulo p."""
     p = one.p
-    lifted = [ints for ints in ([x.value for x in row] for row in rows) if any(ints)]
+    lifted = [ints for ints in (_lift(row, one) for row in rows) if any(ints)]
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -667,7 +687,7 @@ def _rref_residues(rows, ncols, one):
             break
     zero = one - one
     out = [
-        [one if x == 1 else Mod(x, p) if x else zero for x in row]
+        [one if x == 1 else _scalar(x, 1, one) if x else zero for x in row]
         for row in lifted[: len(pivots)]
     ]
     return out, pivots

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .arrangement import Arrangement, Line
 from .derivations import HomDerivation, Multiarrangement, exponents, is_member
 from .errors import InvariantViolation, PreconditionError
-from .exactalg import Field, is_prime
+from .exactalg import PRIME, Field, _lift, is_prime
 from .freeness import (
     FREE,
     NOT_FREE,
@@ -36,7 +36,7 @@ from .freeness import (
 
 
 def _require_prime(field: Field) -> int:
-    if field.kind != "prime":
+    if field.kind != PRIME:
         raise PreconditionError(
             f"finite-plane scan needs a prime field, not {field.kind}"
         )
@@ -110,13 +110,15 @@ class PlaneEnumeration:
 
 
 def complement_points(A: Arrangement) -> tuple:
-    """Plane points lying on no member line."""
+    """Plane points lying on no member line, tested on residue ints."""
     p = _require_prime(A.field)
     plane = PlaneEnumeration(p)
+    one = A.field.one
+    members = [_lift((ln.a, ln.b, ln.c), one) for ln in A.lines]
     return tuple(
         (x, y)
         for x, y in plane.points
-        if all(ln.a * x + ln.b * y + ln.c for ln in A.lines)
+        if all((a * x.value + b * y.value + c) % p for a, b, c in members)
     )
 
 

@@ -32,6 +32,7 @@ from .arrangement import (
 )
 from .derivations import AT_INFINITY, exponents, ziegler_restriction
 from .errors import InvariantViolation, MembershipError, PreconditionError
+from .exactalg import PRIME
 
 FREE = "free"
 NOT_FREE = "not-free"
@@ -556,7 +557,7 @@ def _fresh_direction(A: Arrangement):
     used = {line.direction for line in A.lines}
     # a prime field has exactly p+1 directions; elsewhere the stream is
     # injective, so len(used)+2 distinct candidates always suffice
-    limit = field.p + 1 if field.kind == "prime" else len(used) + 2
+    limit = field.p + 1 if field.kind == PRIME else len(used) + 2
     stream = _direction_stream(field)
     for _ in range(limit):
         d = normalize_direction(field, *next(stream))
@@ -584,7 +585,7 @@ def external_candidates(A: Arrangement) -> tuple:
     These realize every achievable extremum of the incidence count.
     """
     field = A.field
-    if field.kind == "prime" and field.p <= PLANE_PRIME_CAP:
+    if field.kind == PRIME and field.p <= PLANE_PRIME_CAP:
         from .fqscan import PlaneEnumeration
 
         plane = PlaneEnumeration(field.p)
@@ -613,7 +614,7 @@ def external_candidates(A: Arrangement) -> tuple:
     for a, b in per_point:
         hit = {-(a * p.x + b * p.y) for p in pts}
         k = 0
-        limit = field.p if field.kind == "prime" else len(hit) + 1
+        limit = field.p if field.kind == PRIME else len(hit) + 1
         while k < limit:
             c = field.from_int(k)
             if c not in hit:

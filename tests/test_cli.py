@@ -236,6 +236,18 @@ def test_verify_plane_cap_skips_enumeration(capsys):
     assert out[-1] == "verify: OK (7 checks)"
 
 
+def test_verify_rejects_plane_cap_above_enumeration_cap(tmp_path, capsys):
+    f17 = tmp_path / "f17.arr"
+    f17.write_text("field F 17\nline 1 0 0\nline 0 1 0\nline 1 1 1\n")
+    rc, _, _ = run(capsys, "verify", str(f17))
+    assert rc == 0
+    for target, cap in ((str(f17), "17"), (path("f3_three.arr"), "14")):
+        rc, out, err = run(capsys, "verify", target, "--plane-cap", cap)
+        assert rc == 1
+        assert not out
+        assert err == f"error: plane cap {cap} exceeds the enumeration cap 13\n"
+
+
 @pytest.mark.parametrize("delta", ["1", "-1", "5", "-35"])
 def test_verify_catches_corrupted_b2(capsys, delta):
     rc, out, err = run(

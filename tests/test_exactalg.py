@@ -13,8 +13,12 @@ from helpers import reference_rref
 from linarr import ExactMatrix, Field, Mod, ParseError, PreconditionError, Quad
 from linarr.exactalg import (
     PRIMALITY_CAP,
+    PRIME,
+    QUADRATIC,
     SQUAREFREE_CAP,
+    _lift,
     _rref_rows,
+    _scalar,
     is_prime,
     kernel_basis,
     rank,
@@ -356,6 +360,45 @@ def _oracle_scalars(field):
     if field.kind == "rationals":
         return fracs
     return st.builds(lambda u, v: Quad(u, v, field.d), fracs, fracs)
+
+
+@st.composite
+def _oracle_vectors(draw):
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    scalars = st.one_of(st.just(field.zero), _oracle_scalars(field))
+    return field, draw(st.lists(scalars, min_size=1, max_size=6))
+
+
+@given(_oracle_vectors())
+@settings(max_examples=400, deadline=None)
+def test_lift_then_scalar_scales_by_one_common_factor(case):
+    # the integer form is the vector times one common factor: its
+    # denominator, a positive int, over Q and Q(sqrt d), and 1 over F_p
+    field, vec = case
+    one = field.one
+    lifted = _lift(vec, one)
+    cells = list(zip(*lifted)) if field.kind == QUADRATIC else lifted
+    assert len(cells) == len(vec)
+    scaled = [_scalar(x, 1, one) for x in cells]
+    assert all(type(x) is type(one) for x in scaled)
+    assert [bool(x) for x in scaled] == [bool(x) for x in vec]
+    factors = {x / v for x, v in zip(scaled, vec) if v}
+    assert len(factors) <= 1
+    if not factors:
+        return
+    (factor,) = factors
+    if field.kind == PRIME:
+        assert factor == one
+        den = 1
+    else:
+        if field.kind == QUADRATIC:
+            assert not factor.v
+            factor = factor.u
+        assert factor.denominator == 1 and factor > 0
+        den = factor.numerator
+    rebuilt = [_scalar(x, den, one) for x in cells]
+    assert rebuilt == vec
+    assert all(type(x) is type(one) for x in rebuilt)
 
 
 @st.composite
