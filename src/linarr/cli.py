@@ -21,7 +21,6 @@ import sys
 from collections import Counter
 
 from .arrangement import (
-    TWO_INTEGER,
     Arrangement,
     CharPoly,
     format_arrangement,
@@ -266,7 +265,7 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
     run_criteria(A, externals)
     checks.append("criteria-consistency")
 
-    verify_root_window(A, externals)
+    window = verify_root_window(A, externals)
     checks.append("root-window")
 
     if A.field.kind == PRIME and A.field.p <= plane_cap:
@@ -280,19 +279,14 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
             )
         checks.append("complement-count")
 
+        # up to the cap the externals are every non-member plane line, so
+        # the spectrum must show the counts the root window checked
         spectrum = fqscan.line_spectrum(A)
-        for value, _ in spectrum.combined:
-            if claimed.eval(value) < 0:
-                raise InvariantViolation(f"chi({value}) < 0 on a plane line")
-        roots = chi.roots()
-        if cert.is_free and roots.classification == TWO_INTEGER:
-            low, high = roots.low, roots.high
-            for value, _ in spectrum.members:
-                if not (value <= low or value == high):
-                    raise InvariantViolation(f"member count {value} escapes the window")
-            for value, _ in spectrum.externals:
-                if not (value == low or value >= high):
-                    raise InvariantViolation(f"external count {value} inside the window")
+        seen = (spectrum.member_values, spectrum.external_values)
+        if seen != (window.member_values, window.external_values):
+            raise InvariantViolation(
+                f"plane spectrum {seen} differs from the root-window counts"
+            )
         checks.append("plane-spectrum")
 
         fqscan.order_root(A)

@@ -57,13 +57,15 @@ def _plane_tables(p: int):
 
     if len(set(lines)) != p * p + p:
         raise InvariantViolation(f"expected {p * p + p} distinct lines over F_{p}")
+    residues = [(x.value, y.value) for x, y in points]
     per_point = Counter()
     for line in lines:
-        on = [pt for pt in points if not (line.a * pt[0] + line.b * pt[1] + line.c)]
+        a, b, c = line.a.value, line.b.value, line.c.value
+        on = [pt for pt in residues if not (a * pt[0] + b * pt[1] + c) % p]
         if len(on) != p:
             raise InvariantViolation(f"line {line} carries {len(on)} points, not {p}")
         per_point.update(on)
-    if any(per_point[pt] != p + 1 for pt in points):
+    if any(per_point[pt] != p + 1 for pt in residues):
         raise InvariantViolation(f"some point is not on exactly {p + 1} lines")
 
     return field, points, lines

@@ -10,6 +10,11 @@ the same verdict. Criteria never overrule the exact decision; any
 disagreement raises InvariantViolation, because it would mean a bug in
 one of the two computations rather than a mathematical possibility.
 
+run_criteria walks the candidate subarrangements B once, reading A's
+integer roots and each chi(B)'s roots once for all four subarrangement
+criteria; without integer roots it walks none, as every B would be
+inapplicable.
+
 Criterion entries carry machine-readable evidence dictionaries whose
 keys are stable snake_case names; members of the arrangement are
 referenced by index, external lines by their coefficient text.
@@ -30,7 +35,7 @@ from .arrangement import (
     normalize_direction,
     normalize_line,
 )
-from .derivations import AT_INFINITY, exponents, ziegler_restriction
+from .derivations import AT_INFINITY, CACHE_SIZE, exponents, ziegler_restriction
 from .errors import InvariantViolation, MembershipError, PreconditionError
 from .exactalg import PRIME
 
@@ -110,7 +115,7 @@ class RootWindowReport:
 # ------------------------------------------------------------ exact decision
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _decide_free_cached(A: Arrangement, target) -> FreenessCertificate:
     M = ziegler_restriction(A, target)
     e = exponents(M)
@@ -199,6 +204,17 @@ def _chi_at_count(A: Arrangement, i: int) -> int:
                 "deletion-restriction forces both polynomials to vanish at n_H"
             )
     return value
+
+
+def _sub_criterion(name: str, check, A: Arrangement, sub_indices, *args):
+    """A subarrangement criterion on B = A[sub_indices]: check(A, pair,
+    idx, roots of chi(B), *args) once A's roots are an integer pair.
+    run_criteria computes the same inputs once for all candidates."""
+    idx = tuple(sub_indices)
+    pair = _integer_roots(A)
+    if pair is None:
+        return _inapplicable(name, "roots are not a pair of integers")
+    return check(A, pair, idx, A.sub_char_poly(idx).roots(), *args)
 
 
 # ---------------------------------------------------------------- criteria
@@ -310,14 +326,13 @@ def bracketing_sub(A: Arrangement, sub_indices) -> CriterionEntry:
     satisfy alpha <= n and n-1 <= beta, freeness of A is equivalent to
     some member count hitting {n, n+r}. B need not be free.
     """
+    return _sub_criterion("bracketing_sub", _bracketing_sub, A, sub_indices)
+
+
+def _bracketing_sub(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
     name = "bracketing_sub"
-    idx = tuple(sub_indices)
-    pair = _integer_roots(A)
-    if pair is None:
-        return _inapplicable(name, "roots are not a pair of integers")
     n, nr = pair
     r = nr - n
-    roots_b = A.sub_char_poly(idx).roots()
     if roots_b.classification == COMPLEX_CONJUGATE:
         return _inapplicable(name, "subarrangement roots are complex")
     if not (roots_b.cmp_low(n) <= 0 and roots_b.cmp_high(n - 1) >= 0):
@@ -350,14 +365,17 @@ def intermediate_search(
     |A minus B| <= exhaustive_cap. For exponents (n-1, n-s) with
     -r <= s <= 0 the equivalent test is a member count in {n, n+r}.
     """
+    return _sub_criterion(
+        "intermediate_search", _intermediate_search, A, sub_indices, exhaustive_cap
+    )
+
+
+def _intermediate_search(
+    A: Arrangement, pair, idx, roots_b, exhaustive_cap=EXHAUSTIVE_GAP_CAP
+) -> CriterionEntry:
     name = "intermediate_search"
-    idx = tuple(sub_indices)
-    pair = _integer_roots(A)
-    if pair is None:
-        return _inapplicable(name, "roots are not a pair of integers")
     n, nr = pair
     r = nr - n
-    roots_b = A.sub_char_poly(idx).roots()
     if roots_b.classification != TWO_INTEGER:
         return _inapplicable(name, "subarrangement roots are not integers")
     # a free subarrangement has exponents equal to its roots, so the
@@ -376,23 +394,10 @@ def intermediate_search(
         )
     if not _sub_is_free(A, idx, (y1, y2)):
         return _inapplicable(name, "subarrangement is not free", sub=list(idx))
-
-    if not shifted:
-        return _search_intermediate(A, idx, n, r, n - y1, y1, y2, exhaustive_cap)
-    s = n - y2
+    s = n - y2 if shifted else n - y1
     evidence = {"n": n, "r": r, "s": s, "sub": list(idx), "sub_exponents": [y1, y2]}
-    return _count_verdict(A, name, n, nr, evidence, mode="count-scan")
-
-
-def _search_intermediate(A, idx, n, r, s, e1, e2, exhaustive_cap) -> CriterionEntry:
-    name = "intermediate_search"
-    base = {
-        "n": n,
-        "r": r,
-        "s": s,
-        "sub": list(idx),
-        "sub_exponents": [e1, e2],
-    }
+    if shifted:
+        return _count_verdict(A, name, n, nr, evidence, mode="count-scan")
 
     def violating(subset: tuple) -> bool:
         chi_c = A.sub_char_poly(subset)
@@ -412,19 +417,18 @@ def _search_intermediate(A, idx, n, r, s, e1, e2, exhaustive_cap) -> CriterionEn
         candidates = (idx + order[: k + 1] for k in range(len(order)))
     for subset in candidates:
         if violating(subset):
-            chi_c = A.sub_char_poly(subset)
             return CriterionEntry(
                 name,
                 True,
                 NOT_FREE,
                 {
-                    **base,
+                    **evidence,
                     "mode": mode,
                     "violating": sorted(subset),
                     "violating_roots": [n - s, len(subset) - (n - s)],
                 },
             )
-    return CriterionEntry(name, True, FREE, {**base, "mode": mode, "violating": None})
+    return CriterionEntry(name, True, FREE, {**evidence, "mode": mode, "violating": None})
 
 
 def subfree(A: Arrangement, sub_indices) -> CriterionEntry:
@@ -433,25 +437,18 @@ def subfree(A: Arrangement, sub_indices) -> CriterionEntry:
     With chi(A) = (t-a)(t-c) and chi(B) = (t-a)(t-b) for integers
     a <= b <= c and B free, A is free as well. One-directional.
     """
+    return _sub_criterion("subfree", _subfree, A, sub_indices)
+
+
+def _subfree(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
     name = "subfree"
-    idx = tuple(sub_indices)
-    pair_a = _integer_roots(A)
-    if pair_a is None:
-        return _inapplicable(name, "roots are not a pair of integers")
-    roots_b = A.sub_char_poly(idx).roots()
     if roots_b.classification != TWO_INTEGER:
         return _inapplicable(name, "subarrangement roots are not integers")
-    x1, x2 = pair_a
+    x1, x2 = pair
     y1, y2 = roots_b.low, roots_b.high
-    pattern = None
-    for a, b in ((y1, y2), (y2, y1)):
-        for a2, c in ((x1, x2), (x2, x1)):
-            if a == a2 and a <= b <= c:
-                pattern = (a, b, c)
-                break
-        if pattern:
-            break
-    if pattern is None:
+    # both pairs are ordered, so a <= b <= c can only be a = y1 = x1,
+    # b = y2, c = x2
+    if y1 != x1 or y2 > x2:
         return _inapplicable(
             name,
             "no shared root with ordered remainders",
@@ -463,14 +460,13 @@ def subfree(A: Arrangement, sub_indices) -> CriterionEntry:
             name,
             "subarrangement is not free",
             sub=list(idx),
-            shared_root=pattern[0],
+            shared_root=y1,
         )
-    a, b, c = pattern
     return CriterionEntry(
         name,
         True,
         FREE,
-        {"sub": list(idx), "shared_root": a, "sub_other": b, "other": c},
+        {"sub": list(idx), "shared_root": y1, "sub_other": y2, "other": x2},
     )
 
 
@@ -516,14 +512,13 @@ def small_exponent_sub(A: Arrangement, sub_indices) -> CriterionEntry:
     r >= 1, or (n-3, n-2) and r >= 2, or (n-3, n-3) and r >= 4, makes A
     free exactly when some member count hits {n, n+r}.
     """
+    return _sub_criterion("small_exponent_sub", _small_exponent_sub, A, sub_indices)
+
+
+def _small_exponent_sub(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
     name = "small_exponent_sub"
-    idx = tuple(sub_indices)
-    pair = _integer_roots(A)
-    if pair is None:
-        return _inapplicable(name, "roots are not a pair of integers")
     n, nr = pair
     r = nr - n
-    roots_b = A.sub_char_poly(idx).roots()
     if roots_b.classification != TWO_INTEGER:
         return _inapplicable(name, "subarrangement roots are not integers")
     shape = (roots_b.low, roots_b.high)
@@ -706,30 +701,16 @@ def candidate_subarrangements(A: Arrangement) -> tuple:
     return tuple(out)
 
 
-def _scan_members(A: Arrangement, criterion, name: str) -> CriterionEntry:
-    if not len(A):
-        return _inapplicable(name, "empty arrangement")
+def _first_entry(name: str, reason: str, entries) -> CriterionEntry:
+    """First conclusive entry, else the first applicable one, else an
+    inapplicable entry giving `reason`."""
     fallback = None
-    for i in range(len(A)):
-        entry = criterion(A, i)
-        if entry.conclusion != NO_CONCLUSION:
-            return entry
-        if fallback is None:
-            fallback = entry
-    return fallback
-
-
-def _scan_subarrangements(A: Arrangement, criterion, name: str) -> CriterionEntry:
-    first_applicable = None
-    for idx in candidate_subarrangements(A):
-        entry = criterion(A, idx)
+    for entry in entries:
         if entry.applicable and entry.conclusion != NO_CONCLUSION:
             return entry
-        if entry.applicable and first_applicable is None:
-            first_applicable = entry
-    if first_applicable is not None:
-        return first_applicable
-    return _inapplicable(name, "no qualifying subarrangement among candidates")
+        if entry.applicable and fallback is None:
+            fallback = entry
+    return fallback or _inapplicable(name, reason)
 
 
 def run_criteria(A: Arrangement, externals=None) -> CriterionReport:
@@ -741,15 +722,30 @@ def run_criteria(A: Arrangement, externals=None) -> CriterionReport:
     cert = decide_free(A)
     if externals is None:
         externals = external_candidates(A)
+    # without integer roots every candidate is inapplicable to every
+    # subarrangement criterion, so none is walked
+    pair = _integer_roots(A)
+    records = () if pair is None else tuple(
+        (idx, A.sub_char_poly(idx).roots()) for idx in candidate_subarrangements(A)
+    )
+
+    def members(name, criterion):
+        scan = (criterion(A, i) for i in range(len(A)))
+        return _first_entry(name, "empty arrangement", scan)
+
+    def subs(name, check):
+        scan = (check(A, pair, idx, roots_b) for idx, roots_b in records)
+        return _first_entry(name, "no qualifying subarrangement among candidates", scan)
+
     entries = [
         root_incidence(A, externals),
-        _scan_members(A, deletion_pair, "deletion_pair"),
-        _scan_members(A, addition, "addition"),
-        _scan_subarrangements(A, bracketing_sub, "bracketing_sub"),
-        _scan_subarrangements(A, intermediate_search, "intermediate_search"),
-        _scan_subarrangements(A, subfree, "subfree"),
+        members("deletion_pair", deletion_pair),
+        members("addition", addition),
+        subs("bracketing_sub", _bracketing_sub),
+        subs("intermediate_search", _intermediate_search),
+        subs("subfree", _subfree),
         root_gap(A),
-        _scan_subarrangements(A, small_exponent_sub, "small_exponent_sub"),
+        subs("small_exponent_sub", _small_exponent_sub),
     ]
     for entry in entries:
         if entry.applicable and entry.conclusion != NO_CONCLUSION:

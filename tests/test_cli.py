@@ -282,6 +282,21 @@ def test_verify_corruption_on_tiny_inputs(tmp_path, capsys):
         assert "b2" in err
 
 
+def test_verify_plane_spectrum_must_match_root_window(monkeypatch):
+    from linarr import fqscan
+    from linarr.errors import InvariantViolation
+
+    A = ARRANGEMENT_FIXTURES["f3_three"]()
+    spectrum = fqscan.line_spectrum(A)
+    # chi(|A| + 1) = |A| + 1 + b2 > 0, but no plane line meets A that often
+    extra = (len(A) + 1, 1)
+    assert extra[0] not in spectrum.external_values
+    skewed = fqscan.LineSpectrum(spectrum.members, spectrum.externals + (extra,))
+    monkeypatch.setattr(fqscan, "line_spectrum", lambda _: skewed)
+    with pytest.raises(InvariantViolation, match="plane spectrum"):
+        run_verify(A)
+
+
 def test_run_verify_is_importable():
     from linarr.arrangement import load_arrangement
 

@@ -17,9 +17,10 @@ from linarr.arrangement import (
     REAL_IRRATIONAL,
     TWO_INTEGER,
     Arrangement,
+    RootPair,
     normalize_line,
 )
-from linarr.derivations import AT_INFINITY, ziegler_restriction
+from linarr.derivations import AT_INFINITY, exponents, ziegler_restriction
 from linarr import freeness
 from linarr.errors import InvariantViolation, MembershipError
 from linarr.exactalg import Field
@@ -668,3 +669,42 @@ def test_run_criteria_random_consistency():
         verify_root_window(A)
         for i in range(len(A)):
             assert decide_free(A, i).verdict == report.certificate.verdict
+
+
+def test_run_criteria_reads_each_candidates_roots_once(monkeypatch):
+    calls = []
+    from_char_poly = RootPair.from_char_poly.__func__
+
+    def counting(cls, cp):
+        calls.append(cp)
+        return from_char_poly(cls, cp)
+
+    monkeypatch.setattr(RootPair, "from_char_poly", classmethod(counting))
+    for name in sorted(ARRANGEMENT_FIXTURES):
+        A = ARRANGEMENT_FIXTURES[name]()
+        candidates = len(candidate_subarrangements(A))
+        del calls[:]
+        run_criteria(A)
+        # A's own roots are read by root_incidence, the walk and root_gap
+        assert len(calls) <= candidates + 3, (name, len(calls), candidates)
+
+
+def test_run_criteria_walks_no_candidate_without_integer_roots(monkeypatch):
+    A = ARRANGEMENT_FIXTURES["star7_transversal_q"]()
+    assert A.char_poly().roots().classification != TWO_INTEGER
+
+    def refuse(*args):
+        raise AssertionError("candidate walk for an A without integer roots")
+
+    monkeypatch.setattr(Arrangement, "sub_char_poly", refuse)
+    monkeypatch.setattr(freeness, "candidate_subarrangements", refuse)
+    report = run_criteria(A)
+    for name in ("bracketing_sub", "intermediate_search", "subfree", "small_exponent_sub"):
+        entry = report.entry(name)
+        assert not entry.applicable
+        assert entry.evidence == {"reason": "no qualifying subarrangement among candidates"}
+
+
+def test_result_caches_are_bounded():
+    for cached in (exponents, freeness._decide_free_cached):
+        assert isinstance(cached.cache_info().maxsize, int)
