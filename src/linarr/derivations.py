@@ -31,13 +31,7 @@ from .arrangement import (
     scalar_at,
 )
 from .errors import InvariantViolation, MembershipError, ParseError, PreconditionError
-from .exactalg import (
-    ExactMatrix,
-    Field,
-    _rref_rows,
-    kernel_basis,
-    reduce_against,
-)
+from .exactalg import Field, _kernel_rows, _rref_rows, reduce_against
 
 AT_INFINITY = "infinity"
 
@@ -60,17 +54,6 @@ def poly_mul(field: Field, p: tuple, q: tuple) -> tuple:
         for j, qj in enumerate(q):
             out[i + j] = out[i + j] + pi * qj
     return tuple(out)
-
-
-def poly_scale(field: Field, c, p: tuple) -> tuple:
-    c = field.coerce(c)
-    return tuple(c * x for x in p)
-
-
-def poly_sub(p: tuple, q: tuple) -> tuple:
-    if len(p) != len(q):
-        raise PreconditionError("degree mismatch in polynomial subtraction")
-    return tuple(a - b for a, b in zip(p, q))
 
 
 def linear_power(field: Field, central: tuple, e: int) -> tuple:
@@ -153,14 +136,6 @@ class HomDerivation:
         """theta(a*x + b*y) = a*P + b*Q as a coefficient tuple."""
         a, b = self.field.coerce(central[0]), self.field.coerce(central[1])
         return tuple(a * p + b * q for p, q in zip(self.px, self.py))
-
-    def times(self, coeffs: tuple) -> "HomDerivation":
-        """Multiply both components by a homogeneous polynomial."""
-        return HomDerivation(
-            self.field,
-            poly_mul(self.field, coeffs, self.px),
-            poly_mul(self.field, coeffs, self.py),
-        )
 
     def as_vector(self) -> tuple:
         return self.px + self.py
@@ -310,8 +285,7 @@ def ziegler_restriction(A: Arrangement, target=AT_INFINITY) -> Multiarrangement:
 
     i = A.member_index(target)
     h_line = A.lines[i]
-    plane = ExactMatrix.from_rows(field, [[h_line.a, h_line.b, h_line.c]])
-    u, v = kernel_basis(plane)
+    u, v = _kernel_rows([[h_line.a, h_line.b, h_line.c]], 3, field.one)
 
     def restrict(triple):
         s = triple[0] * u[0] + triple[1] * u[1] + triple[2] * u[2]
@@ -392,10 +366,8 @@ def graded_kernel_dim(M: Multiarrangement, d: int) -> int:
 
 def graded_kernel(M: Multiarrangement, d: int) -> tuple:
     """Deterministic basis of the degree-d piece, as HomDerivations."""
-    ncols = 2 * (d + 1)
-    matrix = ExactMatrix.from_rows(M.field, _constraint_rows(M, d), ncols=ncols)
-    basis = kernel_basis(matrix)
     width = d + 1
+    basis = _kernel_rows(_constraint_rows(M, d), 2 * width, M.field.one)
     return tuple(
         HomDerivation(M.field, vec[:width], vec[width:]) for vec in basis
     )
@@ -427,10 +399,13 @@ def exponents(M: Multiarrangement) -> Exponents:
     two-dimensional probe at even |m| means either d1 = d2 = d or
     d1 = d - 1; the Saito determinant of the probe basis tells them
     apart, being nonzero only in the balanced case, whose witnesses are
-    then that basis. Otherwise d1 = d - dim + 1, theta1 spans the
-    one-dimensional kernel at d1, d2 = |m| - d1 and theta2 is the
-    earliest reduced-echelon kernel vector at degree d2 outside the span
-    of S*theta1.
+    then that basis. When d1 = d - 1 the probe is spanned by x*theta1
+    and y*theta1, whose determinant is identically zero, so
+    saito_verify rejects it before building Q(M): each call builds Q(M)
+    once, for the pair it returns. Otherwise d1 = d - dim + 1, theta1
+    spans the one-dimensional kernel at d1, d2 = |m| - d1 and theta2 is
+    the earliest reduced-echelon kernel vector at degree d2 outside the
+    span of S*theta1.
     """
 
     def violation(message: str) -> InvariantViolation:
@@ -458,14 +433,14 @@ def exponents(M: Multiarrangement) -> Exponents:
         )
     theta1 = basis1[0]
     d2 = total - d1
-    span_rows = []
+    # x^(k-i) y^i * theta1 shifts both coefficient tuples i places
     k = d2 - d1
-    field = M.field
-    zero = field.zero
-    for i in range(k + 1):
-        mono = tuple(field.one if j == i else zero for j in range(k + 1))
-        span_rows.append(list(theta1.times(mono).as_vector()))
-    echelon, pivots = _rref_rows(span_rows, 2 * (d2 + 1), field.one)
+    zero = M.field.zero
+    span_rows = [
+        [*pad, *theta1.px, *rest, *pad, *theta1.py, *rest]
+        for pad, rest in (([zero] * i, [zero] * (k - i)) for i in range(k + 1))
+    ]
+    echelon, pivots = _rref_rows(span_rows, 2 * (d2 + 1), M.field.one)
     theta2 = None
     for candidate in graded_kernel(M, d2):
         residual = reduce_against(echelon, pivots, list(candidate.as_vector()))
@@ -480,22 +455,26 @@ def exponents(M: Multiarrangement) -> Exponents:
 
 
 def saito_verify(theta1: HomDerivation, theta2: HomDerivation, M: Multiarrangement) -> bool:
-    """Whether det[[P1,Q1],[P2,Q2]] is a nonzero scalar times Q(M)."""
+    """Whether det[[P1,Q1],[P2,Q2]] is a nonzero scalar times Q(M).
+
+    Q(M) is built only when the determinant is not identically zero.
+    """
+    if theta1.field != M.field or theta2.field != M.field:
+        raise PreconditionError("field mismatch between derivation and centrals")
     if theta1.degree + theta2.degree != M.size:
         raise PreconditionError(
             f"witness degrees {theta1.degree}+{theta2.degree} != |m| = {M.size}"
         )
     field = M.field
-    det = poly_sub(
-        poly_mul(field, theta1.px, theta2.py),
-        poly_mul(field, theta2.px, theta1.py),
-    )
+    p1q2 = poly_mul(field, theta1.px, theta2.py)
+    p2q1 = poly_mul(field, theta2.px, theta1.py)
+    det = tuple(a - b for a, b in zip(p1q2, p2q1))
+    if not any(det):
+        return False
     qm = q_poly(M)
     lead = next(i for i, c in enumerate(qm) if c)
     c = det[lead] / qm[lead]
-    if not c:
-        return False
-    return det == poly_scale(field, c, qm)
+    return det == tuple(c * x for x in qm)
 
 
 def is_member(M: Multiarrangement, theta: HomDerivation) -> bool:

@@ -11,10 +11,12 @@ A Field value describes which representation an arrangement or matrix
 uses and provides coercion, parsing, and formatting. All arithmetic is
 arbitrary precision; nothing here ever rounds.
 
-Matrices are immutable and row-major. kernel_basis returns the reduced
-row echelon form of the standard free-variable parametrization of the
-null space, which makes the basis deterministic: the same matrix always
-yields the same vectors in the same order.
+Matrices are immutable and row-major. _kernel_rows is the one kernel
+construction: it takes plain rows of field scalars and returns the
+reduced row echelon form of the standard free-variable parametrization
+of their null space, which makes the basis deterministic: the same rows
+always yield the same vectors in the same order. kernel_basis applies
+it to an ExactMatrix; the library's own callers hand it their rows.
 
 Integer form: _lift(vec, one) puts a vector over one common
 denominator and returns the numerators: ints over Q; over Q(sqrt d),
@@ -702,27 +704,32 @@ def rank(matrix: ExactMatrix) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix: ExactMatrix) -> tuple[tuple, ...]:
-    """Deterministic basis of the null space.
+def _kernel_rows(rows: list[list], ncols: int, one) -> list[list]:
+    """Deterministic basis of the null space of rows, over the field type(one).
 
-    Construction: RREF the matrix, parametrize by free columns in
+    Construction: RREF the rows, parametrize by free columns in
     increasing order, then put the resulting basis itself into reduced
-    echelon form. rank + len(kernel_basis) always equals ncols.
+    echelon form. rank + len(basis) always equals ncols.
     """
-    field = matrix.field
-    echelon, pivots = rref(matrix)
+    echelon, pivots = _rref_rows(rows, ncols, one)
     pivot_set = set(pivots)
-    free = [c for c in range(matrix.ncols) if c not in pivot_set]
-    zero, one = field.zero, field.one
+    zero = one - one
     raw = []
-    for f in free:
-        v = [zero] * matrix.ncols
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
         v[f] = one
         for j, pc in enumerate(pivots):
             v[pc] = -echelon[j][f]
         raw.append(v)
-    reduced, _ = _rref_rows(raw, matrix.ncols, one)
-    return tuple(tuple(r) for r in reduced)
+    return _rref_rows(raw, ncols, one)[0]
+
+
+def kernel_basis(matrix: ExactMatrix) -> tuple[tuple, ...]:
+    """Deterministic basis of the null space; see _kernel_rows."""
+    basis = _kernel_rows(matrix.rows_list(), matrix.ncols, matrix.field.one)
+    return tuple(tuple(r) for r in basis)
 
 
 def reduce_against(echelon: list[list], pivots: list[int], v: list) -> list:

@@ -43,7 +43,7 @@ from linarr.errors import (
     ParseError,
     PreconditionError,
 )
-from linarr.exactalg import Field, Quad
+from linarr.exactalg import ExactMatrix, Field, Quad, kernel_basis
 from linarr.fixtures import pencil, squares_diagonals, star7_transversal_q
 
 F5 = Field.prime(5)
@@ -261,13 +261,17 @@ def test_graded_dims_match_brute_force_over_f5():
 
 def test_graded_kernel_vectors_are_members():
     rng = random.Random(15)
-    for field in (Q, F5):
+    for field in (Q, F5, Field.quadratic(2)):
         for _ in range(20):
             M = random_multiarrangement(rng, field, max_h=4, max_mult=3)
             d = rng.randint(0, 4)
-            for theta in graded_kernel(M, d):
+            basis = graded_kernel(M, d)
+            for theta in basis:
                 assert theta.degree == d
                 assert is_member(M, theta)
+            # the rows-level kernel gives the basis of the coerced matrix
+            matrix = ExactMatrix.from_rows(field, _constraint_rows(M, d), ncols=2 * (d + 1))
+            assert tuple(theta.as_vector() for theta in basis) == kernel_basis(matrix)
 
 
 # ----------------------------------------------------------------- exponents
@@ -294,19 +298,30 @@ def test_exponents_frozen_small():
 
 
 def counted_exponents(monkeypatch, M):
-    """Uncached exponents(M) and the degrees of the graded kernels it built."""
+    """Uncached exponents(M) and the degrees of the graded kernels it built.
+
+    Also checks that the call built Q(M) exactly once.
+    """
     calls = []
+    q_builds = []
 
     def counting(M, d):
         calls.append(d)
         return graded_kernel(M, d)
 
+    def counting_q(M):
+        q_builds.append(M)
+        return q_poly(M)
+
     def no_dims(M, d):
         raise AssertionError("exponents must not call graded_kernel_dim")
 
     monkeypatch.setattr(derivations, "graded_kernel", counting)
+    monkeypatch.setattr(derivations, "q_poly", counting_q)
     monkeypatch.setattr(derivations, "graded_kernel_dim", no_dims)
-    return exponents.__wrapped__(M), calls
+    exp = exponents.__wrapped__(M)
+    assert q_builds == [M]
+    return exp, calls
 
 
 def test_exponents_probe_edge_cases(monkeypatch):
@@ -332,7 +347,8 @@ def test_exponents_probe_edge_cases(monkeypatch):
     exp, calls = counted_exponents(monkeypatch, xy22)
     assert exp.pair == (2, 2) and (exp.theta1, exp.theta2) == probe and calls == [2]
 
-    # two-dimensional probe at even |m| spanned by x*theta1, y*theta1
+    # two-dimensional probe at even |m| spanned by x*theta1, y*theta1:
+    # its determinant is zero, so only the returned pair builds Q(M)
     generic = mk(Q, [(1, 0, 1), (0, 1, 1), (1, -1, 1), (1, 1, 1)])
     probe = graded_kernel(generic, 2)
     assert len(probe) == 2 and not saito_verify(probe[0], probe[1], generic)
@@ -461,6 +477,18 @@ def test_is_member_rejects():
     M = mk(Q, [(1, 0, 2), (0, 1, 2)])
     assert not is_member(M, HomDerivation(Q, (1, 0), (0, 0)))  # x dx
     assert not is_member(M, HomDerivation(Q, (1, 0), (0, 1)))  # theta_E
+
+
+@pytest.mark.parametrize("field", [F5, Field.quadratic(2)], ids=str)
+def test_saito_verify_rejects_field_mismatch(field):
+    M = mk(field, [(1, 0, 2), (0, 1, 2)])
+    # a certified pair over Q, checked against M over another field
+    t1 = HomDerivation(Q, (1, 0, 0), (0, 0, 0))
+    t2 = HomDerivation(Q, (0, 0, 0), (0, 0, 1))
+    with pytest.raises(PreconditionError):
+        saito_verify(t1, t2, M)
+    with pytest.raises(PreconditionError):
+        saito_verify(HomDerivation(field, (1, 0, 0), (0, 0, 0)), t2, M)
 
 
 def test_q_poly_times_dx_is_member():
@@ -593,6 +621,27 @@ def test_balanced_gap_bound_char_zero():
         d1, d2 = exponents(M).pair
         assert d2 - d1 <= M.h - 2
         checked += 1
+
+
+@pytest.mark.parametrize("field", [Q, Field.quadratic(2)], ids=str)
+def test_three_lines_match_wakamiko(field):
+    # Wakamiko (Tokyo J. Math. 30, 2007): three lines with multiplicities
+    # summing to k have exponents (k - max, max) when 2 * max >= k and
+    # (k // 2, k - k // 2) otherwise. Characteristic 0 only: over F_5,
+    # multiplicities (6, 5, 6) give (7, 10).
+    rng = random.Random(41)
+    dirs = [(field.zero, field.one)] + [(field.one, field.from_int(t)) for t in range(-4, 5)]
+    if field.kind == "quadratic":
+        dirs += [(field.one, Quad(u, 1, field.d)) for u in range(-2, 3)]
+    balanced = 0
+    for _ in range(24):
+        mults = [rng.randint(1, 9) for _ in range(3)]
+        M = Multiarrangement(field, rng.sample(dirs, 3), mults)
+        k, top = M.size, max(mults)
+        want = (k - top, top) if 2 * top >= k else (k // 2, k - k // 2)
+        assert exponents(M).pair == want
+        balanced += 2 * top < k
+    assert 8 <= balanced < 24  # both branches are met
 
 
 def test_is_balanced():
