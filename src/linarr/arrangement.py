@@ -349,7 +349,7 @@ class Arrangement:
             # re-normalize to catch hand-built unnormalized triples; store
             # canon, since an equal triple of plain ints hashes differently
             canon = normalize_line(field, line.a, line.b, line.c)
-            if canon != line:
+            if canon != Line(*map(field.coerce, (line.a, line.b, line.c))):
                 raise PreconditionError(f"line {line} is not normalized")
             if canon in index:
                 raise PreconditionError(f"duplicate line {line}")

@@ -279,8 +279,8 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
             )
         checks.append("complement-count")
 
-        # up to the cap the externals are every non-member plane line, so
-        # the spectrum must show the counts the root window checked
+        # the root window counted every non-member plane line on lattice
+        # keys, the spectrum by complement points on the plane's table
         spectrum = fqscan.line_spectrum(A)
         seen = (spectrum.member_values, spectrum.external_values)
         if seen != (window.member_values, window.external_values):

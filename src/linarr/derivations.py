@@ -517,13 +517,13 @@ def parse_multiarrangement(text: str, path=None) -> Multiarrangement:
         (atok, acol), (btok, bcol), (mtok, mcol) = args
         a = scalar_at(field, atok, lineno, acol, path)
         b = scalar_at(field, btok, lineno, bcol, path)
-        if not _INT.match(mtok) or int(mtok) < 1:
-            raise ParseError(
-                f"multiplicity must be a positive integer, got {mtok!r}",
-                lineno,
-                mcol,
-                path,
-            )
+        try:
+            mult = int(mtok) if _INT.match(mtok) else 0
+        except ValueError as exc:  # past the int-string digit limit
+            raise ParseError(f"bad multiplicity: {exc}", lineno, mcol, path) from None
+        if mult < 1:
+            message = f"multiplicity must be a positive integer, got {mtok!r}"
+            raise ParseError(message, lineno, mcol, path)
         try:
             central = normalize_direction(field, a, b)
         except PreconditionError as exc:
@@ -537,7 +537,7 @@ def parse_multiarrangement(text: str, path=None) -> Multiarrangement:
             )
         seen[central] = lineno
         centrals.append(central)
-        mults.append(int(mtok))
+        mults.append(mult)
     return Multiarrangement(field, centrals, mults)
 
 

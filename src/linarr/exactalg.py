@@ -300,8 +300,6 @@ class Mod:
     def __eq__(self, other):
         if isinstance(other, Mod):
             return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
         return NotImplemented
 
     def __hash__(self):
@@ -448,7 +446,10 @@ class Field:
             raise ParseError(f"bad quadratic scalar {text!r}")
         if not _RE_INT.match(text):
             raise ParseError(f"bad residue {text!r}")
-        return Mod(int(text), self.p)
+        try:
+            return Mod(int(text), self.p)
+        except ValueError as exc:  # past the int-string digit limit
+            raise ParseError(f"bad residue: {exc}") from None
 
     def format_scalar(self, x) -> str:
         """Canonical text for a scalar; round-trips through parse_scalar."""
@@ -705,25 +706,27 @@ def rank(matrix: ExactMatrix) -> int:
 
 
 def _kernel_rows(rows: list[list], ncols: int, one) -> list[list]:
-    """Deterministic basis of the null space of rows, over the field type(one).
+    """The null space of rows over type(one), as its unique RREF basis.
 
-    Construction: RREF the rows, parametrize by free columns in
-    increasing order, then put the resulting basis itself into reduced
-    echelon form. rank + len(basis) always equals ncols.
+    One RREF of the rows with columns reversed leaves each pivot row
+    nonzero only in free columns left of its pivot, so the free-column
+    parametrization is already reduced. rank + len(basis) equals ncols.
     """
-    echelon, pivots = _rref_rows(rows, ncols, one)
-    pivot_set = set(pivots)
+    echelon, pivots = _rref_rows([row[::-1] for row in rows], ncols, one)
+    last = ncols - 1
+    pivot_set = {last - c for c in pivots}
     zero = one - one
-    raw = []
+    basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
         v = [zero] * ncols
         v[f] = one
-        for j, pc in enumerate(pivots):
-            v[pc] = -echelon[j][f]
-        raw.append(v)
-    return _rref_rows(raw, ncols, one)[0]
+        for row, c in zip(echelon, pivots):
+            x = row[last - f]
+            v[last - c] = -x if x else zero
+        basis.append(v)
+    return basis
 
 
 def kernel_basis(matrix: ExactMatrix) -> tuple[tuple, ...]:

@@ -1,17 +1,18 @@
 """Exhaustive computations over the affine plane of a small prime field.
 
-Over F_p the whole plane is finite: p^2 points and p^2 + p lines. Every
-incidence question about an arrangement can therefore be settled by
-brute force and cross-checked against the formula it is supposed to
-equal. The headline identity is chi(A, p) = number of plane points on
-no member line; it powers two freeness criteria that only exist in
-positive characteristic: if p is a root of the characteristic
-polynomial the arrangement is free, and the same holds for p - 1. For
+Over F_p the whole plane is finite: p^2 points and p^2 + p lines.
+`_plane_tables` checks their incidence once per prime and keeps it as
+an index table that the scans here read. Point counts on that table do
+not consult the lattice's intersection keys, so they check it. The
+headline identity is chi(A, p) = number of plane points on no member
+line; it powers two freeness criteria that only exist in positive
+characteristic: if p is a root of the characteristic polynomial the
+arrangement is free, and the same holds for p - 1. For
 multiarrangements whose multiplicities stay at or below p, the
 derivation x^p dx + y^p dy pins the exponents against the field order.
 
-Primes are capped (default 13) so exhaustive scans stay in the range of
-a few hundred lines. Prime powers q = p^n with n > 1 are not supported.
+Primes are capped at PLANE_PRIME_CAP (13), so a table has at most 182
+lines. Prime powers q = p^n with n > 1 are not supported.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 from .arrangement import Arrangement, Line
 from .derivations import HomDerivation, Multiarrangement, exponents, is_member
 from .errors import InvariantViolation, PreconditionError
-from .exactalg import PRIME, Field, _lift, is_prime
+from .exactalg import PRIME, Field, is_prime
 from .freeness import (
     FREE,
     NOT_FREE,
@@ -55,20 +56,24 @@ def _plane_tables(p: int):
         Line(field.one, b, c) for b in scalars for c in scalars
     ) + tuple(Line(field.zero, field.one, c) for c in scalars)
 
-    if len(set(lines)) != p * p + p:
+    line_ids = {line: i for i, line in enumerate(lines)}
+    if len(line_ids) != p * p + p:
         raise InvariantViolation(f"expected {p * p + p} distinct lines over F_{p}")
     residues = [(x.value, y.value) for x, y in points]
-    per_point = Counter()
-    for line in lines:
+    on_line = []
+    through = [[] for _ in points]
+    for i, line in enumerate(lines):
         a, b, c = line.a.value, line.b.value, line.c.value
-        on = [pt for pt in residues if not (a * pt[0] + b * pt[1] + c) % p]
+        on = tuple(k for k, (x, y) in enumerate(residues) if not (a * x + b * y + c) % p)
         if len(on) != p:
             raise InvariantViolation(f"line {line} carries {len(on)} points, not {p}")
-        per_point.update(on)
-    if any(per_point[pt] != p + 1 for pt in residues):
+        on_line.append(on)
+        for k in on:
+            through[k].append(i)
+    if any(len(ids) != p + 1 for ids in through):
         raise InvariantViolation(f"some point is not on exactly {p + 1} lines")
 
-    return field, points, lines
+    return field, points, lines, line_ids, tuple(on_line), tuple(map(tuple, through))
 
 
 class PlaneEnumeration:
@@ -76,52 +81,51 @@ class PlaneEnumeration:
 
     Construction verifies the incidence counts once per prime: p^2 + p
     distinct lines, p points on each line, p + 1 lines through each
-    point. Tables are cached per prime, so instances are cheap.
+    point. The incidence is kept as indices: lines[i] carries the points
+    on_line[i] (point (x, y) is index x*p + y), points[k] lies on the
+    lines through[k], and line_ids[lines[i]] = i. Tables are cached per prime.
     """
 
-    __slots__ = ("p", "field", "points", "lines")
+    __slots__ = ("p", "field", "points", "lines", "line_ids", "on_line", "through")
 
-    def __init__(self, p: int, cap: int = PLANE_PRIME_CAP):
+    def __init__(self, p: int):
         p = int(p)
         if not is_prime(p):
             raise PreconditionError(
                 f"{p} is not prime; prime powers are not supported"
             )
-        if p > cap:
-            raise PreconditionError(f"prime {p} exceeds the enumeration cap {cap}")
-        field, points, lines = _plane_tables(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "lines", lines)
+        if p > PLANE_PRIME_CAP:
+            raise PreconditionError(f"prime {p} exceeds the enumeration cap {PLANE_PRIME_CAP}")
+        for name, value in zip(self.__slots__, (p, *_plane_tables(p))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneEnumeration is immutable")
 
     def points_on(self, line: Line) -> tuple:
-        return tuple(
-            pt for pt in self.points if not (line.a * pt[0] + line.b * pt[1] + line.c)
-        )
+        return tuple(self.points[k] for k in self.on_line[self.line_ids[line]])
 
     def lines_through(self, point) -> tuple:
         x, y = point
-        return tuple(ln for ln in self.lines if not (ln.a * x + ln.b * y + ln.c))
+        return tuple(self.lines[i] for i in self.through[x.value * self.p + y.value])
 
 
 # ------------------------------------------------------------ point counts
 
 
+def _complement(A: Arrangement):
+    """A's plane, its non-member lines and its points on no member, as indices."""
+    plane = PlaneEnumeration(_require_prime(A.field))
+    members = {plane.line_ids[line] for line in A.lines}
+    covered = {k for i in members for k in plane.on_line[i]}
+    externals = [i for i in range(len(plane.lines)) if i not in members]
+    return plane, externals, [k for k in range(len(plane.points)) if k not in covered]
+
+
 def complement_points(A: Arrangement) -> tuple:
-    """Plane points lying on no member line, tested on residue ints."""
-    p = _require_prime(A.field)
-    plane = PlaneEnumeration(p)
-    one = A.field.one
-    members = [_lift((ln.a, ln.b, ln.c), one) for ln in A.lines]
-    return tuple(
-        (x, y)
-        for x, y in plane.points
-        if all((a * x.value + b * y.value + c) % p for a, b, c in members)
-    )
+    """Plane points lying on no member line, read off the incidence table."""
+    plane, _, free = _complement(A)
+    return tuple(plane.points[k] for k in free)
 
 
 def complement_count(A: Arrangement) -> int:
@@ -169,14 +173,17 @@ class LineSpectrum:
 
 
 def line_spectrum(A: Arrangement) -> LineSpectrum:
-    """Histogram of incidence counts over all p^2 + p lines of the plane."""
-    p = _require_prime(A.field)
-    plane = PlaneEnumeration(p)
-    members: Counter = Counter()
-    externals: Counter = Counter()
-    for line in plane.lines:
-        bucket = members if line in A else externals
-        bucket[A.count_on_line(line)] += 1
+    """Histogram of incidence counts over all p^2 + p lines of the plane.
+
+    Members count their n_H. An external line meets the members exactly
+    in its points outside the complement, so it counts p minus the
+    complement points on it.
+    """
+    plane, external_ids, free = _complement(A)
+    p = plane.p
+    members = Counter(A.n_counts)
+    touched = Counter(i for k in free for i in plane.through[k])
+    externals = Counter(p - touched[i] for i in external_ids)
     if sum(members.values()) != len(A) or sum(externals.values()) != p * p + p - len(A):
         raise InvariantViolation("spectrum buckets do not add up to the whole plane")
     return LineSpectrum(tuple(sorted(members.items())), tuple(sorted(externals.items())))
@@ -262,33 +269,22 @@ def order_minus_one_root(A: Arrangement) -> CriterionEntry:
         # r = p - d2 can never leave [0, p]
         raise InvariantViolation(f"chi({p}) = {r} outside [0, {p}] with root {p - 1}")
 
-    plane = PlaneEnumeration(p)
-    complement = complement_points(A)
-    if len(complement) != r:
-        raise InvariantViolation(
-            f"complement has {len(complement)} points but chi({p}) = {r}"
-        )
-    witness = None
-    for line in plane.lines:
-        if line in A:
-            continue
-        touched = sum(
-            1 for x, y in complement if not (line.a * x + line.b * y + line.c)
-        )
-        if touched != 1:
-            continue
-        # a line misses the complement in all but one point exactly when
-        # it meets the union of members in p - 1 points
-        count = A.count_on_line(line)
-        if count != p - 1:
-            raise InvariantViolation(
-                f"external {line} has one free point but meets {count} != {p - 1}"
-            )
-        witness = line
-        break
-    if witness is None:
+    plane, external_ids, free = _complement(A)
+    if len(free) != r:
+        raise InvariantViolation(f"complement has {len(free)} points but chi({p}) = {r}")
+    touched = Counter(i for k in free for i in plane.through[k])
+    i = next((i for i in external_ids if touched[i] == 1), None)
+    if i is None:
         raise InvariantViolation(
             f"no external line through exactly one of {r} complement points"
+        )
+    # a line misses the complement in all but one point exactly when it
+    # meets the union of members in p - 1 points
+    witness = plane.lines[i]
+    count = A.count_on_line(witness)
+    if count != p - 1:
+        raise InvariantViolation(
+            f"external {witness} has one free point but meets {count} != {p - 1}"
         )
     return CriterionEntry(
         "order_minus_one_root",

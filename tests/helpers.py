@@ -7,6 +7,7 @@ reproducible; none of them touch global RNG state.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from linarr.arrangement import (
     Arrangement,
@@ -188,3 +189,42 @@ def reference_rref(rows: list[list], ncols: int, one) -> tuple[list[list], list[
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+# ------------------------------------------- reference plane scans (field scalars)
+#
+# The F_p plane enumerated afresh in field arithmetic: every plane line
+# counted by count_on_line (the lattice's intersection keys), and every
+# point tested against every member. fqscan reads the same quantities off
+# the incidence table of _plane_tables; the tests compare the two.
+
+
+def reference_plane_scan(A: Arrangement) -> tuple:
+    """(member histogram, external histogram, complement, witness).
+
+    Histograms are sorted (count, number of lines) pairs as in
+    LineSpectrum; the witness is the first non-member line, in plane
+    order, through exactly one complement point, or None.
+    """
+    field = A.field
+    scalars = [field.from_int(k) for k in range(field.p)]
+    points = [(x, y) for x in scalars for y in scalars]
+    lines = [Line(field.one, b, c) for b in scalars for c in scalars]
+    lines += [Line(field.zero, field.one, c) for c in scalars]
+    members: Counter = Counter()
+    externals: Counter = Counter()
+    for line in lines:
+        (members if line in A else externals)[A.count_on_line(line)] += 1
+    complement = tuple(
+        (x, y) for x, y in points if all(m.a * x + m.b * y + m.c for m in A.lines)
+    )
+    witness = next(
+        (
+            line
+            for line in lines
+            if line not in A
+            and sum(1 for x, y in complement if not line.a * x + line.b * y + line.c) == 1
+        ),
+        None,
+    )
+    return tuple(sorted(members.items())), tuple(sorted(externals.items())), complement, witness

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -30,6 +30,7 @@ from linarr.arrangement import (
     normalize_line,
     parse_arrangement,
 )
+from linarr.derivations import parse_multiarrangement
 from linarr.errors import MembershipError, ParseError, PreconditionError
 from linarr.exactalg import Field, Quad
 from linarr.fixtures import (
@@ -594,6 +595,47 @@ def test_parse_errors_report_position():
 
     err = parse_error("field Q\nline 1 r 0\n")
     assert err.line == 2 and err.column == 8
+
+
+def test_overlong_numbers_are_parse_errors():
+    # past Python's int-string digit limit int() raises a bare ValueError
+    digits = "9" * 5000
+    err = parse_error(f"field F 5\nline 1 0 {digits}\n")
+    assert (err.line, err.column) == (2, 10) and "bad residue" in err.message
+    err = parse_error(f"field Q\nline 1 {digits}/7 0\n")
+    assert (err.line, err.column) == (2, 8)
+    with pytest.raises(ParseError) as info:
+        parse_multiarrangement(f"field Q\nmline 1 0 {digits}\n")
+    assert (info.value.line, info.value.column) == (2, 11)
+    assert "bad multiplicity" in info.value.message
+
+
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(
+        ["field", "Q", "F", "sqrt", "line", "mline", "#", "r", "-r", "2+3r", "1/0",
+         "3/2", "-1/2r", "2*r", "0", "1", "-1", "5", "7", "12", "1" + "0" * 30]
+    ),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["9" * 4301, "1/" + "3" * 4400, "2+" + "7" * 4400 + "r"]),
+    st.text(max_size=6),
+)
+_FUZZ_ROWS = st.one_of(
+    st.tuples(st.sampled_from(["line", "mline"]), _FUZZ_TOKENS, _FUZZ_TOKENS, _FUZZ_TOKENS),
+    st.lists(_FUZZ_TOKENS, max_size=5),
+).map(" ".join)
+_FUZZ_TEXT = st.one_of(st.lists(_FUZZ_ROWS, max_size=6).map("\n".join), st.text(max_size=40))
+
+
+@given(_FUZZ_TEXT, st.sampled_from(["field Q", "field Q sqrt 2", "field F 5", ""]))
+@example("line 1 0 " + "9" * 4301, "field F 5")
+@example("mline 1 0 " + "9" * 4301, "field Q")
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_parse_error(body, header):
+    for parse in (parse_arrangement, parse_multiarrangement):
+        try:
+            parse(f"{header}\n{body}")
+        except ParseError:
+            pass
 
 
 def test_format_round_trip_fixtures():

@@ -194,6 +194,26 @@ def test_mod_arithmetic_basics():
         a + Mod(1, 7)
 
 
+_SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+_ANY_SCALAR = st.one_of(
+    st.integers(-6, 6),
+    _SMALL_FRACTIONS,
+    st.builds(Quad, _SMALL_FRACTIONS, st.sampled_from([0, 0, 1, Fraction(-1, 2)]),
+              st.sampled_from([2, -3])),
+    st.builds(Mod, st.integers(-6, 6), st.sampled_from([2, 3, 5])),
+)
+
+
+@given(_ANY_SCALAR, _ANY_SCALAR)
+@example(Mod(3, 5), 3)
+@example(Quad(Fraction(1, 2), 0, 2), Fraction(1, 2))
+@settings(max_examples=300)
+def test_equal_scalars_hash_equal(x, y):
+    # sets and dict keys mix scalar types, so == must imply equal hashes
+    if x == y:
+        assert hash(x) == hash(y)
+
+
 def test_fermat_inverse_agrees_exhaustively():
     # every nonzero residue, every prime p <= 97
     for p in [n for n in range(2, 98) if is_prime(n)]:

@@ -9,8 +9,14 @@ from itertools import combinations
 
 import pytest
 
-from helpers import Q, random_multiarrangement
-from linarr.arrangement import Arrangement
+from helpers import (
+    Q,
+    field_directions,
+    random_arrangement,
+    random_multiarrangement,
+    reference_plane_scan,
+)
+from linarr.arrangement import Arrangement, normalize_line
 from linarr.derivations import Multiarrangement, is_member
 from linarr.errors import PreconditionError
 from linarr.exactalg import Field
@@ -26,7 +32,7 @@ from linarr.fqscan import (
     order_minus_one_root,
     order_root,
 )
-from linarr.freeness import FREE, NOT_FREE, PLANE_PRIME_CAP, decide_free
+from linarr.freeness import FREE, NOT_FREE, PLANE_PRIME_CAP, CriterionEntry, decide_free
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -55,9 +61,9 @@ def test_plane_enumeration_incidence(p):
 def test_plane_enumeration_guards():
     with pytest.raises(PreconditionError, match="not prime"):
         PlaneEnumeration(4)
-    with pytest.raises(PreconditionError, match="enumeration cap"):
-        PlaneEnumeration(17)
-    assert PlaneEnumeration(17, cap=17).p == 17
+    for p in (17, 19):
+        with pytest.raises(PreconditionError, match="enumeration cap"):
+            PlaneEnumeration(p)
     plane = PlaneEnumeration(3)
     with pytest.raises(AttributeError):
         plane.p = 5
@@ -133,6 +139,69 @@ def test_spectrum_respects_free_window():
     spec = line_spectrum(A)
     assert all(v <= low or v == high for v in spec.member_values)
     assert all(v == low or v >= high for v in spec.external_values)
+
+
+# ------------------------------------------------ against the brute force
+
+
+def plane_samples(rng, field, count):
+    """Random arrangements alternating with grids: p - 1 parallel lines
+    crossed by d <= p - 1 lines of another direction, so that
+    chi = (t - (p - 1))(t - d) and order_minus_one_root needs a witness."""
+    p = field.p
+    for k in range(count):
+        if k % 2:
+            yield random_arrangement(rng, field, max_lines=2 * p)
+            continue
+        (a, b), (a2, b2) = rng.sample(field_directions(field), 2)
+        lines = [normalize_line(field, a, b, c) for c in rng.sample(range(p), p - 1)]
+        lines += [
+            normalize_line(field, a2, b2, c)
+            for c in rng.sample(range(p), rng.randint(0, p - 1))
+        ]
+        rng.shuffle(lines)
+        yield Arrangement(field, lines)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_scans_match_brute_force_reference(p):
+    field = Field.prime(p)
+    witnessed = 0
+    for A in plane_samples(random.Random(p), field, 40):
+        members, externals, complement, witness = reference_plane_scan(A)
+        spec = line_spectrum(A)
+        assert (spec.members, spec.externals) == (members, externals)
+        assert complement_points(A) == complement
+        chi = A.char_poly()
+        if chi.eval(p - 1) or not chi.eval(p):
+            continue
+        witnessed += 1
+        fmt = field.format_scalar
+        assert order_minus_one_root(A) == CriterionEntry(
+            "order_minus_one_root",
+            True,
+            FREE,
+            {
+                "root": p - 1,
+                "complement": len(complement),
+                "exponents": decide_free(A).exponents,
+                "witness": f"{fmt(witness.a)} {fmt(witness.b)} {fmt(witness.c)}",
+                "witness_count": p - 1,
+            },
+        )
+    assert witnessed >= 20
+
+
+def test_line_spectrum_reads_no_lattice_keys(monkeypatch):
+    def refuse(self, line):
+        raise AssertionError("line_spectrum called count_on_line")
+
+    arrangements = [ARRANGEMENT_FIXTURES[n]() for n in ("f3_three", "f3_pencil", "f3_all")]
+    arrangements += list(plane_samples(random.Random(5), Field.prime(5), 6))
+    monkeypatch.setattr(Arrangement, "count_on_line", refuse)
+    for A in arrangements:
+        spec = line_spectrum(A)
+        assert sum(c for _, c in spec.combined) == A.field.p ** 2 + A.field.p
 
 
 # ---------------------------------------------------------- order criteria
