@@ -316,11 +316,20 @@ _RE_QUAD_FULL = re.compile(rf"(?P<u>{_RAT})(?P<sign>[+-])(?P<v>(?:\d+(?:/\d+)?)?
 _RE_QUAD_PURE = re.compile(rf"(?P<v>{_RAT}|[+-]?)r\Z")
 
 
+def _shown(text: str) -> str:
+    """A token quoted for an error message, cut after 32 characters."""
+    if len(text) <= 32:
+        return repr(text)
+    return f"{text[:32] + '…'!r} ({len(text)} chars)"
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+    except ZeroDivisionError as exc:
+        raise ParseError(f"bad rational {_shown(text)}: {exc}") from None
+    except ValueError:  # past the int-string digit limit
+        raise ParseError(f"bad rational {_shown(text)}: too many digits") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,7 +430,7 @@ class Field:
         """Parse scalar syntax: '-3', '5/7', '2+3/4r' (r = sqrt d), residues '4'."""
         if self.kind == RATIONALS:
             if not _RE_RAT.match(text):
-                raise ParseError(f"bad rational {text!r}")
+                raise ParseError(f"bad rational {_shown(text)}")
             return _fraction(text)
         if self.kind == QUADRATIC:
             m = _RE_QUAD_FULL.match(text)
@@ -443,13 +452,13 @@ class Field:
                 return Quad(0, v, self.d)
             if _RE_RAT.match(text):
                 return Quad(_fraction(text), 0, self.d)
-            raise ParseError(f"bad quadratic scalar {text!r}")
+            raise ParseError(f"bad quadratic scalar {_shown(text)}")
         if not _RE_INT.match(text):
-            raise ParseError(f"bad residue {text!r}")
+            raise ParseError(f"bad residue {_shown(text)}")
         try:
             return Mod(int(text), self.p)
-        except ValueError as exc:  # past the int-string digit limit
-            raise ParseError(f"bad residue: {exc}") from None
+        except ValueError:  # past the int-string digit limit
+            raise ParseError(f"bad residue {_shown(text)}: too many digits") from None
 
     def format_scalar(self, x) -> str:
         """Canonical text for a scalar; round-trips through parse_scalar."""

@@ -13,7 +13,12 @@ one of the two computations rather than a mathematical possibility.
 run_criteria walks the candidate subarrangements B once, reading A's
 integer roots and each chi(B)'s roots once for all four subarrangement
 criteria; without integer roots it walks none, as every B would be
-inapplicable.
+inapplicable. It builds root_incidence's candidate external lines only
+when that criterion reaches them: when A's roots are an integer pair and
+no member count is one of them. external_candidates finds and dedupes
+those lines on integer line keys in exactalg's integer form, with
+membership read off the members' own lifts, and builds one Line per
+distinct candidate.
 
 Criterion entries carry machine-readable evidence dictionaries whose
 keys are stable snake_case names; members of the arrangement are
@@ -25,19 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .arrangement import (
     COMPLEX_CONJUGATE,
     TWO_INTEGER,
     Arrangement,
     Line,
-    line_through,
     normalize_direction,
-    normalize_line,
 )
 from .derivations import AT_INFINITY, CACHE_SIZE, exponents, ziegler_restriction
 from .errors import InvariantViolation, MembershipError, PreconditionError
-from .exactalg import PRIME
+from .exactalg import PRIME, QUADRATIC, RATIONALS, _lift, _scalar
 
 FREE = "free"
 NOT_FREE = "not-free"
@@ -569,6 +573,60 @@ def _direction_stream(field):
         k += 1
 
 
+# Outside the small-prime plane the candidates are built in exactalg's
+# integer form. A point (x, y) is the homogeneous row _lift((x, y, 1)),
+# the point at infinity of the direction (a, b) is _lift((-b, a, 0)),
+# and two rows span the line given by their cross product. A line is
+# keyed by the canonical form of its row, the form in which
+# Arrangement._lifted holds each member (a normalized line lifts to it):
+#
+#   Q         primitive int triple with positive head (first nonzero of a, b)
+#   Q(sqrt d) times conj(head), which makes the head rational; the six
+#             ints (u parts, then v parts) primitive with positive head
+#   F_p       residues with head 1
+
+
+def _cross(p, q, _=None):
+    return (
+        p[1] * q[2] - p[2] * q[1],
+        p[2] * q[0] - p[0] * q[2],
+        p[0] * q[1] - p[1] * q[0],
+    )
+
+
+def _cross_quadratic(p, q, d: int):
+    """Cross product over Z[sqrt d]; bilinear in the (u, v) parts."""
+    (pu, pv), (qu, qv) = p, q
+    uu, vv, uv, vu = _cross(pu, qu), _cross(pv, qv), _cross(pu, qv), _cross(pv, qu)
+    return [x + d * y for x, y in zip(uu, vv)], [x + y for x, y in zip(uv, vu)]
+
+
+def _key_rational(row, _=None) -> tuple:
+    g = gcd(*row)
+    if (row[0] or row[1]) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def _key_quadratic(row, d: int) -> tuple:
+    us, vs = row
+    hu, hv = (us[0], vs[0]) if us[0] or vs[0] else (us[1], vs[1])
+    return _key_rational(
+        [u * hu - d * v * hv for u, v in zip(us, vs)]
+        + [v * hu - u * hv for u, v in zip(us, vs)]
+    )
+
+
+def _key_prime(row, p: int) -> tuple:
+    a, b, c = row
+    inv = pow(a % p or b % p, -1, p)
+    return (a * inv % p, b * inv % p, c * inv % p)
+
+
+_CROSS = {RATIONALS: _cross, QUADRATIC: _cross_quadratic, PRIME: _cross}
+_LINE_KEY = {RATIONALS: _key_rational, QUADRATIC: _key_quadratic, PRIME: _key_prime}
+
+
 def external_candidates(A: Arrangement) -> tuple:
     """Deterministic family of candidate external lines.
 
@@ -578,6 +636,8 @@ def external_candidates(A: Arrangement) -> tuple:
     per member direction class plus one fresh direction, (iii) per
     member direction class one line avoiding all intersection points.
     These realize every achievable extremum of the incidence count.
+    They are found and deduplicated on integer line keys; one Line is
+    built per distinct candidate.
     """
     field = A.field
     if field.kind == PRIME and field.p <= PLANE_PRIME_CAP:
@@ -586,38 +646,52 @@ def external_candidates(A: Arrangement) -> tuple:
         plane = PlaneEnumeration(field.p)
         return tuple(L for L in plane.lines if L not in A)
 
-    found: dict[Line, None] = {}
+    one, param = field.one, field.d or field.p
+    cross, key = _CROSS[field.kind], _LINE_KEY[field.kind]
+    members = {key(row, param) for row in A._lifted}
+    found: dict[tuple, None] = {}
 
-    def offer(line: Line):
-        if line not in A and line not in found:
-            found[line] = None
+    def offer(k: tuple):
+        if k not in members and k not in found:
+            found[k] = None
 
-    pts = A.points
+    pts = [_lift((p.x, p.y, one), one) for p in A.points]
     for p, q in combinations(pts, 2):
-        offer(line_through(field, (p.x, p.y), (q.x, q.y)))
+        offer(key(cross(p, q, param), param))
 
     directions = [d for d, _ in A.parallel_classes]
     fresh = _fresh_direction(A)
     per_point = directions + ([fresh] if fresh is not None else [])
-    for p in pts:
-        for a, b in per_point:
-            offer(normalize_line(field, a, b, -(a * p.x + b * p.y)))
+    ends = [_lift((-b, a, field.zero), one) for a, b in per_point]
+    through = [[key(cross(p, e, param), param) for e in ends] for p in pts]
+    for row in through:
+        for k in row:
+            offer(k)
 
     # a generic line per direction, plus one in a fresh direction: the
     # latter meets every member in a distinct point, realizing the
-    # maximum count |A|
-    for a, b in per_point:
-        hit = {-(a * p.x + b * p.y) for p in pts}
-        k = 0
-        limit = field.p if field.kind == PRIME else len(hit) + 1
-        while k < limit:
-            c = field.from_int(k)
-            if c not in hit:
-                offer(normalize_line(field, a, b, c))
-                break
-            k += 1
+    # maximum count |A|. The normalized line through a point has offset
+    # c = k[2] / head read off its key k (plus k[5] / head * sqrt(d) over
+    # Q(sqrt d)); the generic line takes the first c = 0, 1, 2, ... that
+    # no such line has.
+    for j, (a, b) in enumerate(per_point):
+        hit = set()
+        for k in (row[j] for row in through):
+            head = k[0] or k[1]
+            if k[2] % head == 0 and not any(k[5:]):
+                hit.add(k[2] // head)
+        c = 0
+        while c in hit:
+            c += 1
+        if field.kind != PRIME or c < field.p:
+            offer(key(_lift((a, b, field.from_int(c)), one), param))
 
-    return tuple(found)
+    def line(k: tuple) -> Line:
+        head = k[0] or k[1]
+        nums = k if len(k) == 3 else zip(k[:3], k[3:])
+        return Line(*(_scalar(x, head, one) for x in nums))
+
+    return tuple(map(line, found))
 
 
 # ------------------------------------------------------------- root window
@@ -717,14 +791,18 @@ def run_criteria(A: Arrangement, externals=None) -> CriterionReport:
     """Evaluate every criterion with automatically chosen inputs and
     hard-check each conclusion against the exact verdict.
 
-    externals defaults to external_candidates(A).
+    externals defaults to external_candidates(A), built only when
+    root_incidence reaches them: A's roots are an integer pair and no
+    member count is one of them. Otherwise root_incidence returns
+    before reading any external, so none is built.
     """
     cert = decide_free(A)
+    pair = _integer_roots(A)
     if externals is None:
-        externals = external_candidates(A)
+        reached = pair is not None and _member_witness(A, pair) is None
+        externals = external_candidates(A) if reached else ()
     # without integer roots every candidate is inapplicable to every
     # subarrangement criterion, so none is walked
-    pair = _integer_roots(A)
     records = () if pair is None else tuple(
         (idx, A.sub_char_poly(idx).roots()) for idx in candidate_subarrangements(A)
     )

@@ -9,15 +9,19 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from itertools import combinations
+
 from linarr.arrangement import (
     Arrangement,
     IncidencePoint,
     Line,
+    line_through,
     normalize_direction,
     normalize_line,
 )
 from linarr.derivations import Multiarrangement
-from linarr.exactalg import Field
+from linarr.exactalg import PRIME, Field
+from linarr.freeness import PLANE_PRIME_CAP, _fresh_direction
 
 Q = Field.rationals()
 
@@ -228,3 +232,50 @@ def reference_plane_scan(A: Arrangement) -> tuple:
         None,
     )
     return tuple(sorted(members.items())), tuple(sorted(externals.items())), complement, witness
+
+
+# ------------------------------------ reference external candidates (field scalars)
+#
+# The candidate family built line by line in field arithmetic: line_through
+# and normalize_line for every candidate, membership and duplicates tested
+# on Line values. freeness.external_candidates builds the same family on
+# integer line keys; the tests compare the two tuple for tuple.
+
+
+def external_candidates_reference(A: Arrangement) -> tuple:
+    field = A.field
+    if field.kind == PRIME and field.p <= PLANE_PRIME_CAP:
+        from linarr.fqscan import PlaneEnumeration
+
+        plane = PlaneEnumeration(field.p)
+        return tuple(L for L in plane.lines if L not in A)
+
+    found: dict[Line, None] = {}
+
+    def offer(line: Line):
+        if line not in A and line not in found:
+            found[line] = None
+
+    pts = A.points
+    for p, q in combinations(pts, 2):
+        offer(line_through(field, (p.x, p.y), (q.x, q.y)))
+
+    directions = [d for d, _ in A.parallel_classes]
+    fresh = _fresh_direction(A)
+    per_point = directions + ([fresh] if fresh is not None else [])
+    for p in pts:
+        for a, b in per_point:
+            offer(normalize_line(field, a, b, -(a * p.x + b * p.y)))
+
+    for a, b in per_point:
+        hit = {-(a * p.x + b * p.y) for p in pts}
+        k = 0
+        limit = field.p if field.kind == PRIME else len(hit) + 1
+        while k < limit:
+            c = field.from_int(k)
+            if c not in hit:
+                offer(normalize_line(field, a, b, c))
+                break
+            k += 1
+
+    return tuple(found)

@@ -610,6 +610,24 @@ def test_overlong_numbers_are_parse_errors():
     assert "bad multiplicity" in info.value.message
 
 
+@pytest.mark.parametrize(
+    "header, token, message",
+    [
+        ("field Q", "1x", "bad rational '1x'"),
+        ("field Q", "7" * 40 + "x", "bad rational '" + "7" * 32 + "…' (41 chars)"),
+        ("field Q sqrt 2", "2*" + "3" * 40, "bad quadratic scalar '2*" + "3" * 30 + "…' (42 chars)"),
+        ("field Q sqrt 2", "1/" + "0" * 40 + "r", "bad rational '1/" + "0" * 30 + "…' (42 chars)"),
+        ("field F 5", "x" * 4400, "bad residue '" + "x" * 32 + "…' (4400 chars)"),
+        ("field F 5", "8" * 4400, "bad residue '" + "8" * 32 + "…' (4400 chars): too many digits"),
+    ],
+    ids=["short", "rational", "quadratic", "zero-denominator", "residue", "digit-limit"],
+)
+def test_parse_errors_show_at_most_32_token_characters(header, token, message):
+    err = parse_error(f"{header}\nline 1 0 {token}\n")
+    assert (err.line, err.column) == (2, 10)
+    assert err.message.startswith(message)
+
+
 _FUZZ_TOKENS = st.one_of(
     st.sampled_from(
         ["field", "Q", "F", "sqrt", "line", "mline", "#", "r", "-r", "2+3r", "1/0",

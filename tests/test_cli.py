@@ -28,6 +28,16 @@ def run_json(capsys, *argv):
 # ------------------------------------------------------------------ output
 
 
+def test_overlong_token_error_line_is_short(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "long.arr").write_text("field Q\nline 1 0 " + "9" * 5000 + "\n")
+    rc, out, err = run(capsys, "chi", "long.arr")
+    assert rc != 0 and out == []
+    (line,) = err.splitlines()
+    assert len(line) < 200
+    assert "long.arr:2:10: bad rational '" + "9" * 32 + "…' (5000 chars)" in line
+
+
 def test_chi_text(capsys):
     rc, out, _ = run(capsys, "chi", path("squares_diagonals.arr"))
     assert rc == 0

@@ -11,20 +11,21 @@ import random
 
 import pytest
 
-from helpers import Q, random_arrangement
+from helpers import Q, external_candidates_reference, random_arrangement
 from linarr.arrangement import (
     COMPLEX_CONJUGATE,
     REAL_IRRATIONAL,
     TWO_INTEGER,
     Arrangement,
     RootPair,
+    load_arrangement,
     normalize_line,
 )
 from linarr.derivations import AT_INFINITY, exponents, ziegler_restriction
 from linarr import freeness
 from linarr.errors import InvariantViolation, MembershipError
 from linarr.exactalg import Field
-from linarr.fixtures import ARRANGEMENT_FIXTURES, pencil
+from linarr.fixtures import ARRANGEMENT_FIXTURES, fixture_names, fixture_path, pencil
 from linarr.freeness import (
     FREE,
     NO_CONCLUSION,
@@ -600,6 +601,58 @@ def test_external_candidates_pass_through_off_origin_points():
     assert through, "no candidate passes through the multiple point"
     assert {A.count_on_line(L) for L in through} == {2}
     assert {A.count_on_line(L) for L in ext} == {2, 3, 4, 5}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, Field.quadratic(2), Field.quadratic(5), Field.prime(17)],
+    ids=str,
+)
+def test_external_candidates_match_field_scalar_reference(field):
+    # F_17 lies above PLANE_PRIME_CAP, so it takes the integer-key path too
+    rng = random.Random(f"externals {field}")
+    for _ in range(30):
+        A = random_arrangement(rng, field, 8)
+        assert external_candidates(A) == external_candidates_reference(A)
+
+
+def test_external_candidates_match_reference_on_fixtures():
+    names = [n for n in fixture_names() if n.endswith(".arr")]
+    assert names
+    for name in names:
+        A = load_arrangement(fixture_path(name))
+        assert external_candidates(A) == external_candidates_reference(A), name
+
+
+@pytest.mark.parametrize("field", [Q, F5, Field.prime(7)], ids=str)
+def test_run_criteria_builds_externals_only_when_read(field, monkeypatch):
+    build = freeness.external_candidates
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return build(A)
+
+    monkeypatch.setattr(freeness, "external_candidates", counted)
+    rng = random.Random(f"on demand {field}")
+    seen = set()
+    for _ in range(120):
+        A = random_arrangement(rng, field, 8)
+        roots = A.char_poly().roots()
+        if roots.classification != TWO_INTEGER:
+            case = "roots not integers"
+        elif {roots.low, roots.high} & set(A.n_counts):
+            case = "member count is a root"
+        else:
+            case = "externals read"
+        seen.add(case)
+        calls.clear()
+        report = run_criteria(A)
+        assert len(calls) == (case == "externals read"), case
+        supplied = run_criteria(A, build(A))
+        assert report.certificate == supplied.certificate
+        assert report.entries == supplied.entries
+    assert seen == {"roots not integers", "member count is a root", "externals read"}
 
 
 def test_candidate_subarrangements_structure():
