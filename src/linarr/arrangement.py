@@ -7,12 +7,11 @@ plus eagerly built caches: the intersection points (with the incident
 line indices at each), the parallel classes, and the per-line counts
 n_H = number of distinct points in which the other members meet H.
 
-The caches are built from integer point keys. Each member is lifted
-once to ints (exactalg's integer form), two members meet in an integer
-cross product, and the meeting point is keyed by a canonical int tuple,
-so points are deduplicated without field arithmetic and the field
-scalars of an IncidencePoint are built once per distinct point, not
-once per pair. count_on_line uses the same keys; order_increasing
+The caches are built from integer keys (see exactalg for their form).
+Each member is keyed once, and two members meet in the key of their
+point, so points are deduplicated without field arithmetic and the
+field scalars of an IncidencePoint are built once per distinct point,
+not once per pair. count_on_line uses the same keys; order_increasing
 updates its counts incrementally.
 
 The characteristic polynomial is always t^2 - n*t + b2 with
@@ -30,16 +29,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import InvariantViolation, MembershipError, ParseError, PreconditionError
 from .exactalg import (
-    PRIME,
+    _JOIN,
     QUADRATIC,
     RATIONALS,
     Field,
-    _lift,
-    _scalar,
+    _key,
+    _key_scalars,
     squarefree_decomposition,
 )
 
@@ -89,67 +88,6 @@ class IncidencePoint:
     @property
     def multiplicity(self) -> int:
         return len(self.incident)
-
-
-# ------------------------------------------------- integer point keys
-#
-# Members meet on their exactalg._lift rows. Each meet returns the key
-# (x, y, den) of the point (x/den, y/den), canonical so that equal
-# points get equal keys, or None for parallel lines:
-#
-#   Q         x, y ints; gcd(x, y, den) = 1 and den > 0
-#   Q(sqrt d) x, y (u, v) int pairs for u + v*sqrt(d); den the norm of
-#             the determinant, gcd of all five ints 1 and den > 0
-#   F_p       x, y residues; den 1
-
-
-def _meet_rational(l1, l2, _):
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    det = a1 * b2 - a2 * b1
-    if not det:
-        return None
-    x = b1 * c2 - b2 * c1
-    y = a2 * c1 - a1 * c2
-    g = gcd(x, y, det)
-    if det < 0:
-        g = -g
-    return (x // g, y // g, det // g)
-
-
-def _meet_quadratic(l1, l2, d: int):
-    (a1u, b1u, c1u), (a1v, b1v, c1v) = l1
-    (a2u, b2u, c2u), (a2v, b2v, c2v) = l2
-    # det = a1*b2 - a2*b1, X = b1*c2 - b2*c1, Y = a2*c1 - a1*c2 in Z[sqrt d]
-    du = a1u * b2u + d * a1v * b2v - a2u * b1u - d * a2v * b1v
-    dv = a1u * b2v + a1v * b2u - a2u * b1v - a2v * b1u
-    if not du and not dv:
-        return None
-    xu = b1u * c2u + d * b1v * c2v - b2u * c1u - d * b2v * c1v
-    xv = b1u * c2v + b1v * c2u - b2u * c1v - b2v * c1u
-    yu = a2u * c1u + d * a2v * c1v - a1u * c2u - d * a1v * c2v
-    yv = a2u * c1v + a2v * c1u - a1u * c2v - a1v * c2u
-    # times conj(det) = du - dv*sqrt(d), over the norm N(det)
-    norm = du * du - d * dv * dv
-    xu, xv = xu * du - d * xv * dv, xv * du - xu * dv
-    yu, yv = yu * du - d * yv * dv, yv * du - yu * dv
-    g = gcd(xu, xv, yu, yv, norm)
-    if norm < 0:
-        g = -g
-    return ((xu // g, xv // g), (yu // g, yv // g), norm // g)
-
-
-def _meet_prime(l1, l2, p: int):
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    det = (a1 * b2 - a2 * b1) % p
-    if not det:
-        return None
-    inv = pow(det, -1, p)
-    return ((b1 * c2 - b2 * c1) * inv % p, (a2 * c1 - a1 * c2) * inv % p, 1)
-
-
-_MEET = {RATIONALS: _meet_rational, QUADRATIC: _meet_quadratic, PRIME: _meet_prime}
 
 
 def line_through(field: Field, p, q) -> Line:
@@ -333,7 +271,7 @@ class Arrangement:
         "field",
         "lines",
         "_index",
-        "_lifted",
+        "_keys",
         "_points",
         "_points_on",
         "_classes",
@@ -365,20 +303,18 @@ class Arrangement:
     def _build_caches(self):
         field, lines = self.field, self.lines
         n = len(lines)
-        one, meet, param = field.one, _MEET[field.kind], field.d or field.p
-        lifted = tuple(_lift((line.a, line.b, line.c), one) for line in lines)
+        one, join, param = field.one, _JOIN[field.kind], field.d or field.p
+        keys = tuple(_key((line.a, line.b, line.c), one) for line in lines)
         by_key: dict[tuple, set[int]] = {}
         for i in range(n):
-            li = lifted[i]
+            ki = keys[i]
             for j in range(i + 1, n):
-                key = meet(li, lifted[j], param)
+                key = join(ki, keys[j], 2, param)
                 if key is not None:
                     by_key.setdefault(key, set()).update((i, j))
         points = tuple(
-            IncidencePoint(
-                _scalar(x, den, one), _scalar(y, den, one), frozenset(incident)
-            )
-            for (x, y, den), incident in by_key.items()
+            IncidencePoint(x, y, frozenset(incident))
+            for (x, y), incident in zip(_key_scalars(by_key, 2, one), by_key.values())
         )
         points_on: list[list[int]] = [[] for _ in range(n)]
         for k, pt in enumerate(points):
@@ -387,9 +323,10 @@ class Arrangement:
         classes: dict[tuple, list[int]] = {}
         for i, line in enumerate(lines):
             classes.setdefault(line.direction, []).append(i)
-        n_counts = tuple(len(points_on[i]) for i in range(n))
-        b2 = sum(pt.multiplicity - 1 for pt in points)
-        object.__setattr__(self, "_lifted", lifted)
+        n_counts = tuple(map(len, points_on))
+        # a point of multiplicity m lies on m members and adds m - 1 to b2
+        b2 = sum(n_counts) - len(points)
+        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_points", points)
         object.__setattr__(
             self, "_points_on", tuple(tuple(ks) for ks in points_on)
@@ -465,13 +402,13 @@ class Arrangement:
         with a zero determinant, like a parallel line, so it adds no key.
         """
         field = self.field
-        meet, param = _MEET[field.kind], field.d or field.p
+        join, param = _JOIN[field.kind], field.d or field.p
         i = self._index.get(line)
         if i is None:
-            mine = _lift([field.coerce(t) for t in (line.a, line.b, line.c)], field.one)
+            mine = _key([field.coerce(t) for t in (line.a, line.b, line.c)], field.one)
         else:
-            mine = self._lifted[i]
-        keys = {meet(mine, other, param) for other in self._lifted}
+            mine = self._keys[i]
+        keys = {join(mine, other, 2, param) for other in self._keys}
         keys.discard(None)
         return len(keys)
 

@@ -30,7 +30,7 @@ from .arrangement import (
     parse_body,
     scalar_at,
 )
-from .errors import InvariantViolation, MembershipError, ParseError, PreconditionError
+from .errors import InvariantViolation, ParseError, PreconditionError
 from .exactalg import Field, _kernel_rows, _rref_rows, reduce_against
 
 AT_INFINITY = "infinity"
@@ -225,13 +225,6 @@ class Multiarrangement:
 
     def items(self) -> tuple:
         return tuple(zip(self.centrals, self.mults))
-
-    def multiplicity_of(self, central) -> int:
-        central = normalize_direction(self.field, *central)
-        for c, m in zip(self.centrals, self.mults):
-            if c == central:
-                return m
-        raise MembershipError(f"{central} is not a central line here")
 
     def with_multiplicities(self, mults) -> "Multiarrangement":
         return Multiarrangement(self.field, self.centrals, mults)

@@ -7,16 +7,15 @@ unary minus, truthiness as a zero test):
   * quadratic extension  Quad(u, v, d) meaning u + v*sqrt(d)
   * prime field          Mod(value, p) with value reduced into [0, p)
 
-A Field value describes which representation an arrangement or matrix
-uses and provides coercion, parsing, and formatting. All arithmetic is
+A Field value describes which representation a computation uses and
+provides coercion, parsing, and formatting. All arithmetic is
 arbitrary precision; nothing here ever rounds.
 
-Matrices are immutable and row-major. _kernel_rows is the one kernel
-construction: it takes plain rows of field scalars and returns the
-reduced row echelon form of the standard free-variable parametrization
-of their null space, which makes the basis deterministic: the same rows
-always yield the same vectors in the same order. kernel_basis applies
-it to an ExactMatrix; the library's own callers hand it their rows.
+_kernel_rows is the one kernel construction: it takes plain rows of
+field scalars and returns the reduced row echelon form of the standard
+free-variable parametrization of their null space, which makes the
+basis deterministic: the same rows always yield the same vectors in the
+same order.
 
 Integer form: _lift(vec, one) puts a vector over one common
 denominator and returns the numerators: ints over Q; over Q(sqrt d),
@@ -25,6 +24,22 @@ residues over F_p. _scalar(num, den, one) builds num/den as a field
 scalar, with num a (u, v) pair over Q(sqrt d) and den 1 over F_p. The
 intersection lattice of an arrangement and the elimination below
 compute on these ints and build field scalars only for results.
+
+Keys: points and lines are homogeneous triples. The point (x, y) is
+(x, y, 1), its head the last coordinate; the line a*x + b*y + c = 0 is
+(a, b, c), its head the first nonzero of a and b; the point at infinity
+of the direction (a, b) is (-b, a, 0), which only enters joins. _key
+keys a triple whose head is 1 by its integer form, flattened:
+
+  Q         three ints, primitive, head > 0
+  Q(sqrt d) six ints, the u parts then the v parts, primitive, head a
+            positive int
+  F_p       three residues, head 1
+
+so equal points and equal lines have equal keys. A join (_JOIN, one
+fused function per field) crosses two keys into a key: two lines meet
+in their point's key, None when they are parallel, and two points span
+their line's key. _key_scalars turns keys back into field scalars.
 
 Elimination runs on the lifted rows. Q and Q(sqrt d) use fraction-free
 Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): with head the new pivot
@@ -39,10 +54,10 @@ is built per returned cell.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError, PreconditionError
 
@@ -419,13 +434,6 @@ class Field:
                 return Mod(x, self.p)
         raise PreconditionError(f"{x!r} is not a scalar of {self}")
 
-    def is_element(self, x) -> bool:
-        try:
-            self.coerce(x)
-            return True
-        except PreconditionError:
-            return False
-
     def parse_scalar(self, text: str):
         """Parse scalar syntax: '-3', '5/7', '2+3/4r' (r = sqrt d), residues '4'."""
         if self.kind == RATIONALS:
@@ -490,66 +498,17 @@ class Field:
         return f"F_{self.p}"
 
 
-@dataclass(frozen=True, slots=True)
-class ExactMatrix:
-    """Immutable row-major matrix with entries in a single field."""
-
-    field: Field
-    nrows: int
-    ncols: int
-    entries: tuple
-
-    @classmethod
-    def from_rows(cls, field: Field, rows, ncols: int | None = None) -> "ExactMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if ncols is not None and ncols != width:
-                raise PreconditionError(f"declared {ncols} columns, rows have {width}")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise PreconditionError("ragged rows")
-            flat.extend(field.coerce(x) for x in r)
-        return cls(field, len(rows), ncols, tuple(flat))
-
-    def entry(self, i: int, j: int):
-        return self.entries[i * self.ncols + j]
-
-    def row(self, i: int) -> list:
-        return list(self.entries[i * self.ncols : (i + 1) * self.ncols])
-
-    def rows_list(self) -> list[list]:
-        return [self.row(i) for i in range(self.nrows)]
-
-    def mulvec(self, v) -> tuple:
-        if len(v) != self.ncols:
-            raise PreconditionError("vector length does not match column count")
-        v = [self.field.coerce(x) for x in v]
-        zero = self.field.zero
-        out = []
-        for i in range(self.nrows):
-            acc = zero
-            for j in range(self.ncols):
-                acc = acc + self.entry(i, j) * v[j]
-            out.append(acc)
-        return tuple(out)
-
-
 def _lift(vec, one):
     """vec in integer form over the field type(one); see the module docstring."""
     if type(one) is Mod:
         return [x.value for x in vec]
     if type(one) is Quad:
-        den = math.lcm(*(x.u.denominator for x in vec), *(x.v.denominator for x in vec))
+        den = lcm(*(x.u.denominator for x in vec), *(x.v.denominator for x in vec))
         return (
             [x.u.numerator * (den // x.u.denominator) for x in vec],
             [x.v.numerator * (den // x.v.denominator) for x in vec],
         )
-    den = math.lcm(*(x.denominator for x in vec))
+    den = lcm(*(x.denominator for x in vec))
     return [x.numerator * (den // x.denominator) for x in vec]
 
 
@@ -560,6 +519,89 @@ def _scalar(num, den, one):
     if type(one) is Quad:
         return Quad(Fraction(num[0], den), Fraction(num[1], den), one.d)
     return Fraction(num, den)
+
+
+# ------------------------------------------------- keys of points and lines
+#
+# A join takes the head of its result: 2 for a meet of two lines, or 0
+# for the line through two points, whose head is the first nonzero of a
+# and b. It returns None when the head is zero.
+
+
+def _key(vec, one) -> tuple:
+    """The key of a normalized triple: its integer form, flattened."""
+    ints = _lift(vec, one)
+    return tuple(ints[0] + ints[1]) if type(one) is Quad else tuple(ints)
+
+
+def _join_rational(p, q, head, _):
+    a1, b1, c1 = p
+    a2, b2, c2 = q
+    x = b1 * c2 - b2 * c1
+    y = a2 * c1 - a1 * c2
+    z = a1 * b2 - a2 * b1
+    h = z if head else x or y
+    if not h:
+        return None
+    g = gcd(x, y, z)
+    if h < 0:
+        g = -g
+    return (x // g, y // g, z // g)
+
+
+def _join_quadratic(p, q, head, d: int):
+    a1u, b1u, c1u, a1v, b1v, c1v = p
+    a2u, b2u, c2u, a2v, b2v, c2v = q
+    # the cross product over Z[sqrt d], bilinear in the (u, v) parts
+    xu = b1u * c2u + d * b1v * c2v - b2u * c1u - d * b2v * c1v
+    xv = b1u * c2v + b1v * c2u - b2u * c1v - b2v * c1u
+    yu = a2u * c1u + d * a2v * c1v - a1u * c2u - d * a1v * c2v
+    yv = a2u * c1v + a2v * c1u - a1u * c2v - a1v * c2u
+    zu = a1u * b2u + d * a1v * b2v - a2u * b1u - d * a2v * b1v
+    zv = a1u * b2v + a1v * b2u - a2u * b1v - a2v * b1u
+    hu, hv = (zu, zv) if head else (xu, xv) if xu or xv else (yu, yv)
+    if not (hu or hv):
+        return None
+    # times conj(head) = hu - hv*sqrt(d): the head becomes its norm
+    dhv = d * hv
+    norm = hu * hu - dhv * hv
+    xu, xv = xu * hu - dhv * xv, xv * hu - xu * hv
+    yu, yv = yu * hu - dhv * yv, yv * hu - yu * hv
+    zu, zv = (norm, 0) if head else (zu * hu - dhv * zv, zv * hu - zu * hv)
+    g = gcd(xu, yu, zu, xv, yv, zv)
+    if norm < 0:
+        g = -g
+    return (xu // g, yu // g, zu // g, xv // g, yv // g, zv // g)
+
+
+def _join_prime(p, q, head, prime: int):
+    a1, b1, c1 = p
+    a2, b2, c2 = q
+    x = b1 * c2 - b2 * c1
+    y = a2 * c1 - a1 * c2
+    z = a1 * b2 - a2 * b1
+    h = z % prime if head else x % prime or y % prime
+    if not h:
+        return None
+    inv = pow(h, -1, prime)
+    return (x * inv % prime, y * inv % prime, z * inv % prime)
+
+
+_JOIN = {RATIONALS: _join_rational, QUADRATIC: _join_quadratic, PRIME: _join_prime}
+
+
+def _key_scalars(keys, head, one) -> list:
+    """Field scalars of keys: (x, y) of each point key at head 2, (a, b, c)
+    of each line key at head 0."""
+    quad = type(one) is Quad
+    out = []
+    for key in keys:
+        den = key[2] if head else key[0] or key[1]
+        if quad:
+            key = (key[0], key[3]), (key[1], key[4]), (key[2], key[5])
+        x, y = _scalar(key[0], den, one), _scalar(key[1], den, one)
+        out.append((x, y) if head else (x, y, _scalar(key[2], den, one)))
+    return out
 
 
 def _rref_rows(rows: list[list], ncols: int, one) -> tuple[list[list], list[int]]:
@@ -705,15 +747,6 @@ def _rref_residues(rows, ncols, one):
     return out, pivots
 
 
-def rref(matrix: ExactMatrix) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of the matrix; returns (rows, pivot columns)."""
-    return _rref_rows(matrix.rows_list(), matrix.ncols, matrix.field.one)
-
-
-def rank(matrix: ExactMatrix) -> int:
-    return len(rref(matrix)[1])
-
-
 def _kernel_rows(rows: list[list], ncols: int, one) -> list[list]:
     """The null space of rows over type(one), as its unique RREF basis.
 
@@ -736,12 +769,6 @@ def _kernel_rows(rows: list[list], ncols: int, one) -> list[list]:
             v[last - c] = -x if x else zero
         basis.append(v)
     return basis
-
-
-def kernel_basis(matrix: ExactMatrix) -> tuple[tuple, ...]:
-    """Deterministic basis of the null space; see _kernel_rows."""
-    basis = _kernel_rows(matrix.rows_list(), matrix.ncols, matrix.field.one)
-    return tuple(tuple(r) for r in basis)
 
 
 def reduce_against(echelon: list[list], pivots: list[int], v: list) -> list:

@@ -105,10 +105,6 @@ class PlaneEnumeration:
     def points_on(self, line: Line) -> tuple:
         return tuple(self.points[k] for k in self.on_line[self.line_ids[line]])
 
-    def lines_through(self, point) -> tuple:
-        x, y = point
-        return tuple(self.lines[i] for i in self.through[x.value * self.p + y.value])
-
 
 # ------------------------------------------------------------ point counts
 

@@ -16,8 +16,8 @@ criteria; without integer roots it walks none, as every B would be
 inapplicable. It builds root_incidence's candidate external lines only
 when that criterion reaches them: when A's roots are an integer pair and
 no member count is one of them. external_candidates finds and dedupes
-those lines on integer line keys in exactalg's integer form, with
-membership read off the members' own lifts, and builds one Line per
+those lines on integer line keys (see exactalg for their form), with
+membership read off the members' own keys, and builds one Line per
 distinct candidate.
 
 Criterion entries carry machine-readable evidence dictionaries whose
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
 
 from .arrangement import (
     COMPLEX_CONJUGATE,
@@ -41,7 +40,7 @@ from .arrangement import (
 )
 from .derivations import AT_INFINITY, CACHE_SIZE, exponents, ziegler_restriction
 from .errors import InvariantViolation, MembershipError, PreconditionError
-from .exactalg import PRIME, QUADRATIC, RATIONALS, _lift, _scalar
+from .exactalg import _JOIN, PRIME, _key, _key_scalars
 
 FREE = "free"
 NOT_FREE = "not-free"
@@ -573,60 +572,6 @@ def _direction_stream(field):
         k += 1
 
 
-# Outside the small-prime plane the candidates are built in exactalg's
-# integer form. A point (x, y) is the homogeneous row _lift((x, y, 1)),
-# the point at infinity of the direction (a, b) is _lift((-b, a, 0)),
-# and two rows span the line given by their cross product. A line is
-# keyed by the canonical form of its row, the form in which
-# Arrangement._lifted holds each member (a normalized line lifts to it):
-#
-#   Q         primitive int triple with positive head (first nonzero of a, b)
-#   Q(sqrt d) times conj(head), which makes the head rational; the six
-#             ints (u parts, then v parts) primitive with positive head
-#   F_p       residues with head 1
-
-
-def _cross(p, q, _=None):
-    return (
-        p[1] * q[2] - p[2] * q[1],
-        p[2] * q[0] - p[0] * q[2],
-        p[0] * q[1] - p[1] * q[0],
-    )
-
-
-def _cross_quadratic(p, q, d: int):
-    """Cross product over Z[sqrt d]; bilinear in the (u, v) parts."""
-    (pu, pv), (qu, qv) = p, q
-    uu, vv, uv, vu = _cross(pu, qu), _cross(pv, qv), _cross(pu, qv), _cross(pv, qu)
-    return [x + d * y for x, y in zip(uu, vv)], [x + y for x, y in zip(uv, vu)]
-
-
-def _key_rational(row, _=None) -> tuple:
-    g = gcd(*row)
-    if (row[0] or row[1]) < 0:
-        g = -g
-    return tuple(x // g for x in row)
-
-
-def _key_quadratic(row, d: int) -> tuple:
-    us, vs = row
-    hu, hv = (us[0], vs[0]) if us[0] or vs[0] else (us[1], vs[1])
-    return _key_rational(
-        [u * hu - d * v * hv for u, v in zip(us, vs)]
-        + [v * hu - u * hv for u, v in zip(us, vs)]
-    )
-
-
-def _key_prime(row, p: int) -> tuple:
-    a, b, c = row
-    inv = pow(a % p or b % p, -1, p)
-    return (a * inv % p, b * inv % p, c * inv % p)
-
-
-_CROSS = {RATIONALS: _cross, QUADRATIC: _cross_quadratic, PRIME: _cross}
-_LINE_KEY = {RATIONALS: _key_rational, QUADRATIC: _key_quadratic, PRIME: _key_prime}
-
-
 def external_candidates(A: Arrangement) -> tuple:
     """Deterministic family of candidate external lines.
 
@@ -646,24 +591,23 @@ def external_candidates(A: Arrangement) -> tuple:
         plane = PlaneEnumeration(field.p)
         return tuple(L for L in plane.lines if L not in A)
 
-    one, param = field.one, field.d or field.p
-    cross, key = _CROSS[field.kind], _LINE_KEY[field.kind]
-    members = {key(row, param) for row in A._lifted}
+    one, join, param = field.one, _JOIN[field.kind], field.d or field.p
+    members = set(A._keys)
     found: dict[tuple, None] = {}
 
     def offer(k: tuple):
         if k not in members and k not in found:
             found[k] = None
 
-    pts = [_lift((p.x, p.y, one), one) for p in A.points]
+    pts = [_key((p.x, p.y, one), one) for p in A.points]
     for p, q in combinations(pts, 2):
-        offer(key(cross(p, q, param), param))
+        offer(join(p, q, 0, param))
 
     directions = [d for d, _ in A.parallel_classes]
     fresh = _fresh_direction(A)
     per_point = directions + ([fresh] if fresh is not None else [])
-    ends = [_lift((-b, a, field.zero), one) for a, b in per_point]
-    through = [[key(cross(p, e, param), param) for e in ends] for p in pts]
+    ends = [_key((-b, a, field.zero), one) for a, b in per_point]
+    through = [[join(p, e, 0, param) for e in ends] for p in pts]
     for row in through:
         for k in row:
             offer(k)
@@ -684,14 +628,9 @@ def external_candidates(A: Arrangement) -> tuple:
         while c in hit:
             c += 1
         if field.kind != PRIME or c < field.p:
-            offer(key(_lift((a, b, field.from_int(c)), one), param))
+            offer(_key((a, b, field.from_int(c)), one))
 
-    def line(k: tuple) -> Line:
-        head = k[0] or k[1]
-        nums = k if len(k) == 3 else zip(k[:3], k[3:])
-        return Line(*(_scalar(x, head, one) for x in nums))
-
-    return tuple(map(line, found))
+    return tuple(Line(a, b, c) for a, b, c in _key_scalars(found, 0, one))
 
 
 # ------------------------------------------------------------- root window

@@ -20,7 +20,7 @@ from linarr.arrangement import (
     normalize_line,
 )
 from linarr.derivations import Multiarrangement
-from linarr.exactalg import PRIME, Field
+from linarr.exactalg import PRIME, Field, _kernel_rows, _rref_rows
 from linarr.freeness import PLANE_PRIME_CAP, _fresh_direction
 
 Q = Field.rationals()
@@ -193,6 +193,12 @@ def reference_rref(rows: list[list], ncols: int, one) -> tuple[list[list], list[
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def kernel_and_rank(field: Field, rows, ncols: int) -> tuple[list[list], int]:
+    """_kernel_rows and the rank of rows (ints or scalars) coerced into field."""
+    rows = [[field.coerce(x) for x in row] for row in rows]
+    return _kernel_rows(rows, ncols, field.one), len(_rref_rows(rows, ncols, field.one)[1])
 
 
 # ------------------------------------------- reference plane scans (field scalars)

@@ -54,8 +54,9 @@ def test_plane_enumeration_incidence(p):
         pts = plane.points_on(line)
         assert len(pts) == p
         assert all(line.a * x + line.b * y + line.c == plane.field.zero for x, y in pts)
-    for pt in plane.points[: p + 1]:
-        assert len(plane.lines_through(pt)) == p + 1
+    for (x, y), ids in zip(plane.points, plane.through):
+        assert len(ids) == p + 1
+        assert all(not (L.a * x + L.b * y + L.c) for L in map(plane.lines.__getitem__, ids))
 
 
 def test_plane_enumeration_guards():

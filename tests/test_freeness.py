@@ -8,23 +8,26 @@ exponents, window facts from the integer roots.
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
-from helpers import Q, external_candidates_reference, random_arrangement
+from helpers import Q, external_candidates_reference, random_arrangement, reference_intersect
 from linarr.arrangement import (
     COMPLEX_CONJUGATE,
     REAL_IRRATIONAL,
     TWO_INTEGER,
     Arrangement,
+    Line,
     RootPair,
+    line_through,
     load_arrangement,
     normalize_line,
 )
 from linarr.derivations import AT_INFINITY, exponents, ziegler_restriction
 from linarr import freeness
 from linarr.errors import InvariantViolation, MembershipError
-from linarr.exactalg import Field
+from linarr.exactalg import _JOIN, Field, Quad, _key, _key_scalars
 from linarr.fixtures import ARRANGEMENT_FIXTURES, fixture_names, fixture_path, pencil
 from linarr.freeness import (
     FREE,
@@ -603,16 +606,63 @@ def test_external_candidates_pass_through_off_origin_points():
     assert {A.count_on_line(L) for L in ext} == {2, 3, 4, 5}
 
 
-@pytest.mark.parametrize(
-    "field",
-    [Q, Field.quadratic(2), Field.quadratic(5), Field.prime(17)],
-    ids=str,
+# F_17 and F_101 lie above PLANE_PRIME_CAP, so they take the integer-key path
+KEY_FIELDS = (
+    Q,
+    Field.quadratic(2),
+    Field.quadratic(5),
+    Field.quadratic(-3),
+    Field.prime(17),
+    Field.prime(101),
 )
+
+
+def irrational(A: Arrangement) -> Arrangement:
+    """A over Q(sqrt d) in the coordinates (x', y') with x = x' + t*y',
+    y = t*x' + y' for t = 1 + sqrt d, so that its coefficients and points
+    are irrational; incidences and parallel classes stay. Other fields
+    keep A as is."""
+    field = A.field
+    if field.kind != "quadratic":
+        return A
+    t = Quad(1, 1, field.d)
+    moved = [normalize_line(field, L.a + L.b * t, L.a * t + L.b, L.c) for L in A.lines]
+    return Arrangement(field, moved)
+
+
+@pytest.mark.parametrize("field", KEY_FIELDS, ids=str)
+def test_joins_are_keys_of_field_scalar_meets_and_lines(field):
+    """A meet is the key of the point (x, y, 1), None exactly for parallel
+    lines; the join of two points is the key of line_through."""
+    rng = random.Random(f"join keys {field}")
+    one, join, param = field.one, _JOIN[field.kind], field.d or field.p
+    parallel = 0
+    for _ in range(20):
+        A = irrational(random_arrangement(rng, field, 8, min_lines=2))
+        shifted = [Line(L.a, L.b, L.c + one) for L in A.lines]
+        keyed = [(L, _key((L.a, L.b, L.c), one)) for L in (*A.lines, *shifted)]
+        for (l1, k1), (l2, k2) in combinations(keyed, 2):
+            point = reference_intersect(l1, l2)
+            key = join(k1, k2, 2, param)
+            if point is None:
+                parallel += 1
+                assert key is None
+            else:
+                assert key == _key((*point, one), one)
+                assert _key_scalars([key], 2, one) == [point]
+        for p, q in combinations([(pt.x, pt.y) for pt in A.points], 2):
+            line = line_through(field, p, q)
+            key = join(_key((*p, one), one), _key((*q, one), one), 0, param)
+            assert key == _key((line.a, line.b, line.c), one)
+            assert _key_scalars([key], 0, one) == [(line.a, line.b, line.c)]
+    assert parallel
+
+
+@pytest.mark.parametrize("field", KEY_FIELDS, ids=str)
 def test_external_candidates_match_field_scalar_reference(field):
-    # F_17 lies above PLANE_PRIME_CAP, so it takes the integer-key path too
     rng = random.Random(f"externals {field}")
     for _ in range(30):
-        A = random_arrangement(rng, field, 8)
+        A = irrational(random_arrangement(rng, field, 8))
         assert external_candidates(A) == external_candidates_reference(A)
 
 
