@@ -233,21 +233,19 @@ class RootPair:
 
     def cmp_low(self, q) -> int:
         """Sign of (low root) - q; roots must be real."""
-        if self.classification == COMPLEX_CONJUGATE:
-            raise PreconditionError("complex roots cannot be ordered")
-        if self.classification == TWO_INTEGER:
-            d = Fraction(self.low) - Fraction(q)
-            return (d > 0) - (d < 0)
-        return self.low.cmp_rational(q)
+        return self._cmp_root(self.low, q)
 
     def cmp_high(self, q) -> int:
         """Sign of (high root) - q; roots must be real."""
+        return self._cmp_root(self.high, q)
+
+    def _cmp_root(self, root, q) -> int:
         if self.classification == COMPLEX_CONJUGATE:
             raise PreconditionError("complex roots cannot be ordered")
         if self.classification == TWO_INTEGER:
-            d = Fraction(self.high) - Fraction(q)
+            d = Fraction(root) - Fraction(q)
             return (d > 0) - (d < 0)
-        return self.high.cmp_rational(q)
+        return root.cmp_rational(q)
 
     def gap_cmp(self, k: int) -> int:
         """Sign of (high - low) - k for real roots and k >= 0."""

@@ -7,8 +7,9 @@ with alpha^m dividing theta(alpha) = a*P + b*Q for every weighted
 central. Over a field this module is free of rank 2, so it is pinned
 down by two generator degrees d1 <= d2 with d1 + d2 = |m|, and its
 degree-d piece has dimension max(0, d-d1+1) + max(0, d-d2+1).
-exponents() reads d1 off one graded kernel probed at degree |m| // 2 and
-certifies the result through the Saito determinant.
+exponents() reads d1 off one graded kernel probed at degree |m| // 2.
+The Saito determinant both selects the second generator theta2 and
+certifies the pair.
 
 Homogeneous polynomials of degree d are coefficient tuples of length
 d + 1, entry j holding the coefficient of x^(d-j) y^j. The empty tuple
@@ -31,7 +32,7 @@ from .arrangement import (
     scalar_at,
 )
 from .errors import InvariantViolation, ParseError, PreconditionError
-from .exactalg import Field, _kernel_rows, _rref_rows, reduce_against
+from .exactalg import Field, _kernel_rows, _rref_rows
 
 AT_INFINITY = "infinity"
 
@@ -136,9 +137,6 @@ class HomDerivation:
         """theta(a*x + b*y) = a*P + b*Q as a coefficient tuple."""
         a, b = self.field.coerce(central[0]), self.field.coerce(central[1])
         return tuple(a * p + b * q for p, q in zip(self.px, self.py))
-
-    def as_vector(self) -> tuple:
-        return self.px + self.py
 
     def __str__(self):
         return f"({format_poly(self.field, self.px)}) dx + ({format_poly(self.field, self.py)}) dy"
@@ -397,8 +395,10 @@ def exponents(M: Multiarrangement) -> Exponents:
     saito_verify rejects it before building Q(M): each call builds Q(M)
     once, for the pair it returns. Otherwise d1 = d - dim + 1, theta1
     spans the one-dimensional kernel at d1, d2 = |m| - d1 and theta2 is
-    the earliest reduced-echelon kernel vector at degree d2 outside the
-    span of S*theta1.
+    the earliest reduced-echelon kernel vector at degree d2 that passes
+    saito_verify with theta1: its determinant with theta1 is zero
+    exactly on S*theta1, rejected before Q(M) is built, and otherwise a
+    nonzero constant times Q(M). So Saito's check selects theta2 too.
     """
 
     def violation(message: str) -> InvariantViolation:
@@ -426,24 +426,11 @@ def exponents(M: Multiarrangement) -> Exponents:
         )
     theta1 = basis1[0]
     d2 = total - d1
-    # x^(k-i) y^i * theta1 shifts both coefficient tuples i places
-    k = d2 - d1
-    zero = M.field.zero
-    span_rows = [
-        [*pad, *theta1.px, *rest, *pad, *theta1.py, *rest]
-        for pad, rest in (([zero] * i, [zero] * (k - i)) for i in range(k + 1))
-    ]
-    echelon, pivots = _rref_rows(span_rows, 2 * (d2 + 1), M.field.one)
-    theta2 = None
-    for candidate in graded_kernel(M, d2):
-        residual = reduce_against(echelon, pivots, list(candidate.as_vector()))
-        if any(residual):
-            theta2 = candidate
-            break
+    theta2 = next(
+        (c for c in graded_kernel(M, d2) if saito_verify(theta1, c, M)), None
+    )
     if theta2 is None:
-        raise violation("no degree-d2 derivation independent of theta1")
-    if not saito_verify(theta1, theta2, M):
-        raise violation("Saito check failed on the selected witnesses")
+        raise violation("no degree-d2 derivation passes Saito's check with theta1")
     return Exponents(d1, d2, theta1, theta2)
 
 

@@ -769,13 +769,3 @@ def _kernel_rows(rows: list[list], ncols: int, one) -> list[list]:
             v[last - c] = -x if x else zero
         basis.append(v)
     return basis
-
-
-def reduce_against(echelon: list[list], pivots: list[int], v: list) -> list:
-    """Residual of v after elimination by rows already in reduced echelon form."""
-    v = list(v)
-    for row, pc in zip(echelon, pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v

@@ -19,8 +19,8 @@ from linarr.arrangement import (
     normalize_direction,
     normalize_line,
 )
-from linarr.derivations import Multiarrangement
-from linarr.exactalg import PRIME, Field, _kernel_rows, _rref_rows
+from linarr.derivations import HomDerivation, Multiarrangement, graded_kernel
+from linarr.exactalg import PRIME, Field, Quad, _kernel_rows, _rref_rows
 from linarr.freeness import PLANE_PRIME_CAP, _fresh_direction
 
 Q = Field.rationals()
@@ -71,6 +71,19 @@ def random_arrangement(
             line = normalize_line(field, a, b, field.from_int(rng.choice(_SMALL)))
         lines.setdefault(line, None)
     return Arrangement(field, lines)
+
+
+def irrational(A: Arrangement) -> Arrangement:
+    """A over Q(sqrt d) in the coordinates (x', y') with x = x' + t*y',
+    y = t*x' + y' for t = 1 + sqrt d, so that its coefficients and points
+    are irrational; incidences and parallel classes stay. Other fields
+    keep A as is."""
+    field = A.field
+    if field.kind != "quadratic":
+        return A
+    t = Quad(1, 1, field.d)
+    moved = [normalize_line(field, L.a + L.b * t, L.a * t + L.b, L.c) for L in A.lines]
+    return Arrangement(field, moved)
 
 
 def random_multiarrangement(
@@ -193,6 +206,33 @@ def reference_rref(rows: list[list], ncols: int, one) -> tuple[list[list], list[
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def reference_theta2(M: Multiarrangement, theta1: HomDerivation, d2: int) -> HomDerivation:
+    """The earliest graded_kernel(M, d2) vector outside the span of S*theta1.
+
+    The span is eliminated with reference_rref, and each kernel vector is
+    reduced against it cell by cell; exponents selects the same vector
+    with Saito's determinant instead.
+    """
+    field = M.field
+    zero = field.zero
+    # x^(k-i) y^i * theta1 shifts both coefficient tuples i places
+    k = d2 - theta1.degree
+    span_rows = [
+        [*pad, *theta1.px, *rest, *pad, *theta1.py, *rest]
+        for pad, rest in (([zero] * i, [zero] * (k - i)) for i in range(k + 1))
+    ]
+    echelon, pivots = reference_rref(span_rows, 2 * (d2 + 1), field.one)
+    for candidate in graded_kernel(M, d2):
+        v = [*candidate.px, *candidate.py]
+        for row, c in zip(echelon, pivots):
+            if v[c]:
+                f = v[c]
+                v = [a - f * b for a, b in zip(v, row)]
+        if any(v):
+            return candidate
+    raise AssertionError("no degree-d2 kernel vector outside S*theta1")
 
 
 def kernel_and_rank(field: Field, rows, ncols: int) -> tuple[list[list], int]:

@@ -8,7 +8,7 @@ Run with `python3 -m pytest -s tests/test_acceptance.py` to see a
 import random
 from time import perf_counter
 
-from helpers import Q, random_arrangement, random_multiarrangement
+from helpers import Q, irrational, random_arrangement, random_multiarrangement
 from linarr.arrangement import (
     REAL_IRRATIONAL,
     TWO_INTEGER,
@@ -359,7 +359,8 @@ def test_criterion_9_target_independence():
         rng = random.Random(99)
         fields = (Q, R2, F3, F5)
         for k in range(200):
-            A = random_arrangement(rng, fields[k % 4], max_lines=6)
+            # irrational moves only the Q(sqrt 2) quarter off rational lines
+            A = irrational(random_arrangement(rng, fields[k % 4], max_lines=6))
             verdict = decide_free(A).verdict
             for i in range(len(A)):
                 assert decide_free(A, i).verdict == verdict

@@ -669,26 +669,27 @@ def test_format_round_trip_fixtures():
         assert again == arr and again.lines == arr.lines
 
 
-def test_format_round_trip_random():
-    rng = random.Random(8675309)
-    for field in (Q, F5, Field.quadratic(2)):
-        for _ in range(40):
-            if field.kind == "quadratic":
-                # salt with irrational coefficients now and then
-                arr = Arrangement.from_triples(
-                    field,
-                    {
-                        (
-                            1,
-                            Quad(rng.randint(-2, 2), rng.randint(-2, 2), 2),
-                            Quad(rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 3), 2),
-                        )
-                        for _ in range(rng.randint(1, 5))
-                    },
-                )
-            else:
-                arr = random_arrangement(rng, field, 8)
-            assert parse_arrangement(format_arrangement(arr)) == arr
+ROUND_TRIP_FIELDS = (Q, Field.quadratic(2), Field.quadratic(-3), F5, Field.prime(101))
+
+
+@st.composite
+def round_trip_case(draw):
+    """(field, scalar, arrangement), scalars and coefficients from scalar_strategy."""
+    field = draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    scalar = scalar_strategy(field)
+    direction = st.tuples(scalar, scalar).filter(lambda ab: ab[0] or ab[1])
+    triples = draw(st.lists(st.tuples(direction, scalar), max_size=8))
+    lines = dict.fromkeys(normalize_line(field, a, b, c) for (a, b), c in triples)
+    return field, draw(scalar), Arrangement(field, lines)
+
+
+@settings(max_examples=150)
+@given(round_trip_case())
+def test_format_round_trip_random(case):
+    field, x, arr = case
+    assert field.parse_scalar(field.format_scalar(x)) == x
+    again = parse_arrangement(format_arrangement(arr))
+    assert again == arr and again.lines == arr.lines
 
 
 @settings(max_examples=60)

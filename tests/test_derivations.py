@@ -12,7 +12,14 @@ from itertools import product
 
 import pytest
 
-from helpers import Q, kernel_and_rank, random_arrangement, random_multiarrangement, reference_rref
+from helpers import (
+    Q,
+    kernel_and_rank,
+    random_arrangement,
+    random_multiarrangement,
+    reference_rref,
+    reference_theta2,
+)
 from linarr import derivations, exactalg
 from linarr.arrangement import Arrangement, normalize_direction
 from linarr.derivations import (
@@ -271,7 +278,7 @@ def test_graded_kernel_vectors_are_members():
                 assert is_member(M, theta)
             # the rows-level kernel gives the basis of the coerced matrix
             kernel, _ = kernel_and_rank(field, _constraint_rows(M, d), 2 * (d + 1))
-            assert [list(theta.as_vector()) for theta in basis] == kernel
+            assert [list(theta.px + theta.py) for theta in basis] == kernel
 
 
 # ----------------------------------------------------------------- exponents
@@ -300,7 +307,9 @@ def test_exponents_frozen_small():
 def counted_exponents(monkeypatch, M):
     """Uncached exponents(M) and the degrees of the graded kernels it built.
 
-    Also checks that the call built Q(M) exactly once.
+    Also checks that the call built Q(M) exactly once, and that it
+    eliminated only inside graded_kernel, never through derivations'
+    own _rref_rows.
     """
     calls = []
     q_builds = []
@@ -316,7 +325,11 @@ def counted_exponents(monkeypatch, M):
     def no_dims(M, d):
         raise AssertionError("exponents must not call graded_kernel_dim")
 
+    def no_rref(rows, ncols, one):
+        raise AssertionError("exponents must eliminate only through graded_kernel")
+
     monkeypatch.setattr(derivations, "graded_kernel", counting)
+    monkeypatch.setattr(derivations, "_rref_rows", no_rref)
     monkeypatch.setattr(derivations, "q_poly", counting_q)
     monkeypatch.setattr(derivations, "graded_kernel_dim", no_dims)
     exp = exponents.__wrapped__(M)
@@ -583,11 +596,10 @@ def _unbalanced_multiarrangements(rng, field, count):
     return cases
 
 
-@pytest.mark.parametrize(
-    "field",
-    [Q, Field.quadratic(2), Field.quadratic(-3), F5, Field.prime(101)],
-    ids=str,
-)
+UNBALANCED_FIELDS = (Q, Field.quadratic(2), Field.quadratic(-3), F5, Field.prime(101))
+
+
+@pytest.mark.parametrize("field", UNBALANCED_FIELDS, ids=str)
 def test_unbalanced_exponents_match_reference_rref(field, monkeypatch):
     cases = _unbalanced_multiarrangements(random.Random(31), field, 16)
 
@@ -609,6 +621,26 @@ def test_unbalanced_exponents_match_reference_rref(field, monkeypatch):
         top = max(M.mults)
         if 2 * top > M.size:
             assert (d1, d2) == (M.size - top, top)
+
+
+def test_unbalanced_theta2_matches_span_elimination():
+    """theta2 chosen by Saito's check is the span elimination's choice."""
+    skipped = 0
+    for field in UNBALANCED_FIELDS:
+        for M in _unbalanced_multiarrangements(random.Random(31), field, 16):
+            e = exponents.__wrapped__(M)
+            assert e.theta2 == reference_theta2(M, e.theta1, e.d2), (field, M)
+            skipped += e.theta2 != graded_kernel(M, e.d2)[0]
+    # the first kernel vector lies in S*theta1 in a few of these cases
+    assert skipped
+
+
+@pytest.mark.parametrize("field", UNBALANCED_FIELDS, ids=str)
+def test_unbalanced_exponents_eliminate_only_through_graded_kernel(field, monkeypatch):
+    for M in _unbalanced_multiarrangements(random.Random(31), field, 16):
+        exp, calls = counted_exponents(monkeypatch, M)
+        d = M.size // 2
+        assert calls == [d] + ([exp.d1] if exp.d1 != d else []) + [exp.d2]
 
 
 def test_balanced_gap_bound_char_zero():

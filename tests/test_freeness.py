@@ -12,7 +12,13 @@ from itertools import combinations
 
 import pytest
 
-from helpers import Q, external_candidates_reference, random_arrangement, reference_intersect
+from helpers import (
+    Q,
+    external_candidates_reference,
+    irrational,
+    random_arrangement,
+    reference_intersect,
+)
 from linarr.arrangement import (
     COMPLEX_CONJUGATE,
     REAL_IRRATIONAL,
@@ -27,7 +33,7 @@ from linarr.arrangement import (
 from linarr.derivations import AT_INFINITY, exponents, ziegler_restriction
 from linarr import freeness
 from linarr.errors import InvariantViolation, MembershipError
-from linarr.exactalg import _JOIN, Field, Quad, _key, _key_scalars
+from linarr.exactalg import _JOIN, Field, _key, _key_scalars
 from linarr.fixtures import ARRANGEMENT_FIXTURES, fixture_names, fixture_path, pencil
 from linarr.freeness import (
     FREE,
@@ -615,19 +621,6 @@ KEY_FIELDS = (
     Field.prime(17),
     Field.prime(101),
 )
-
-
-def irrational(A: Arrangement) -> Arrangement:
-    """A over Q(sqrt d) in the coordinates (x', y') with x = x' + t*y',
-    y = t*x' + y' for t = 1 + sqrt d, so that its coefficients and points
-    are irrational; incidences and parallel classes stay. Other fields
-    keep A as is."""
-    field = A.field
-    if field.kind != "quadratic":
-        return A
-    t = Quad(1, 1, field.d)
-    moved = [normalize_line(field, L.a + L.b * t, L.a * t + L.b, L.c) for L in A.lines]
-    return Arrangement(field, moved)
 
 
 @pytest.mark.parametrize("field", KEY_FIELDS, ids=str)
