@@ -36,9 +36,11 @@ from .exactalg import (
     _JOIN,
     QUADRATIC,
     RATIONALS,
+    _RE_INT,
     Field,
     _key,
     _key_scalars,
+    _shown,
     squarefree_decomposition,
 )
 
@@ -502,16 +504,24 @@ def _tokens_with_columns(line: str):
     return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
 
 
+def _header_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # not an integer, or past the int-string digit limit
+        detail = "too many digits" if _RE_INT.match(token) else "not an integer"
+        raise PreconditionError(f"{_shown(token)}: {detail}") from None
+
+
 def _parse_field_header(tokens, lineno, path) -> Field:
     words = [t for t, _ in tokens]
     try:
         if words == ["field", "Q"]:
             return Field.rationals()
         if len(words) == 4 and words[:3] == ["field", "Q", "sqrt"]:
-            return Field.quadratic(int(words[3]))
+            return Field.quadratic(_header_int(words[3]))
         if len(words) == 3 and words[:2] == ["field", "F"]:
-            return Field.prime(int(words[2]))
-    except (ValueError, PreconditionError) as exc:
+            return Field.prime(_header_int(words[2]))
+    except PreconditionError as exc:
         raise ParseError(f"bad field header: {exc}", lineno, tokens[0][1], path) from None
     raise ParseError(
         "field header must be 'field Q', 'field Q sqrt <d>', or 'field F <p>'",

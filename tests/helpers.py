@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from linarr.arrangement import (
     Arrangement,
@@ -19,7 +20,14 @@ from linarr.arrangement import (
     normalize_direction,
     normalize_line,
 )
-from linarr.derivations import HomDerivation, Multiarrangement, graded_kernel
+from linarr.derivations import (
+    HomDerivation,
+    Multiarrangement,
+    graded_kernel,
+    linear_power,
+    poly_mul,
+)
+from linarr.errors import PreconditionError
 from linarr.exactalg import PRIME, Field, Quad, _kernel_rows, _rref_rows
 from linarr.freeness import PLANE_PRIME_CAP, _fresh_direction
 
@@ -86,6 +94,18 @@ def irrational(A: Arrangement) -> Arrangement:
     return Arrangement(field, moved)
 
 
+@lru_cache(maxsize=None)
+def multiarrangement_directions(field: Field) -> list[tuple]:
+    """field_directions, and over Q(sqrt d) also their images under the map
+    of `irrational`, most of which are irrational."""
+    dirs = field_directions(field)
+    if field.kind == "quadratic":
+        t = Quad(1, 1, field.d)
+        moved = [normalize_direction(field, a + b * t, a * t + b) for a, b in dirs]
+        dirs = list(dict.fromkeys(dirs + moved))
+    return dirs
+
+
 def random_multiarrangement(
     rng: random.Random,
     field: Field,
@@ -93,7 +113,8 @@ def random_multiarrangement(
     max_mult: int = 4,
     min_h: int = 0,
 ) -> Multiarrangement:
-    dirs = field_directions(field)
+    """Random centrals and multiplicities from multiarrangement_directions."""
+    dirs = multiarrangement_directions(field)
     h = rng.randint(min_h, min(max_h, len(dirs)))
     chosen = rng.sample(dirs, h)
     mults = [rng.randint(1, max_mult) for _ in chosen]
@@ -235,10 +256,98 @@ def reference_theta2(M: Multiarrangement, theta1: HomDerivation, d2: int) -> Hom
     raise AssertionError("no degree-d2 kernel vector outside S*theta1")
 
 
+def reference_kernel(rows: list[list], ncols: int, one) -> list[list]:
+    """The RREF basis of the null space, in field scalars throughout.
+
+    The free-variable parametrization of reference_rref(rows) spans the
+    null space, and its own RREF is the unique reduced basis that
+    exactalg._kernel_rows returns.
+    """
+    echelon, pivots = reference_rref(rows, ncols, one)
+    zero = one - one
+    spanning = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, c in zip(echelon, pivots):
+            v[c] = -row[f]
+        spanning.append(v)
+    return reference_rref(spanning, ncols, one)[0]
+
+
 def kernel_and_rank(field: Field, rows, ncols: int) -> tuple[list[list], int]:
     """_kernel_rows and the rank of rows (ints or scalars) coerced into field."""
     rows = [[field.coerce(x) for x in row] for row in rows]
     return _kernel_rows(rows, ncols, field.one), len(_rref_rows(rows, ncols, field.one)[1])
+
+
+# -------------------------------- reference exponent building blocks (field scalars)
+#
+# The constraint rows and Saito's check in field arithmetic, one scalar
+# per cell and per coefficient. derivations computes both on integer
+# lifts: its rows are these rows each times a nonzero scalar, and its
+# saito_verify must agree with reference_saito_verify on every input.
+
+
+def reference_q_poly(M: Multiarrangement) -> tuple:
+    """The defining polynomial Q(M) = product of alpha^m over all centrals."""
+    out = (M.field.one,)
+    for central, m in M.items():
+        out = poly_mul(M.field, out, linear_power(M.field, central, m))
+    return out
+
+
+def reference_constraint_rows(M: Multiarrangement, d: int) -> list:
+    """The rows of derivations._constraint_rows, in field scalars and unscaled.
+
+    Central alpha = x + b*y contributes C(j, s) * (-1)^(j-s) * b^(-j)
+    at x^(d-j) y^j in row s; alpha = y and alpha = x contribute [j = s]
+    and [j = d-s].
+    """
+    field = M.field
+    rows = []
+    width = d + 1
+    zero, one = field.zero, field.one
+    for (a, b), mult in M.items():
+        if a and b:
+            # (-1)^(j-s) b^(-j) = (-1)^s (-1/b)^j
+            neg_inv = -(one / b)
+            inv_powers = [one]
+            for _ in range(d):
+                inv_powers.append(inv_powers[-1] * neg_inv)
+        for s in range(min(mult, width)):
+            if a and b:
+                sign = -1 if s & 1 else 1
+                coef = [zero] * s + [
+                    sign * comb(j, s) * inv_powers[j] for j in range(s, width)
+                ]
+            else:
+                coef = [zero] * width
+                coef[d - s if a else s] = one
+            rows.append([a * c for c in coef] + [b * c for c in coef])
+    return rows
+
+
+def reference_saito_verify(
+    theta1: HomDerivation, theta2: HomDerivation, M: Multiarrangement
+) -> bool:
+    """Whether det[[P1,Q1],[P2,Q2]] is a nonzero scalar times Q(M)."""
+    if theta1.field != M.field or theta2.field != M.field:
+        raise PreconditionError("field mismatch between derivation and centrals")
+    if theta1.degree + theta2.degree != M.size:
+        raise PreconditionError("witness degrees do not sum to |m|")
+    field = M.field
+    p1q2 = poly_mul(field, theta1.px, theta2.py)
+    p2q1 = poly_mul(field, theta2.px, theta1.py)
+    det = tuple(a - b for a, b in zip(p1q2, p2q1))
+    if not any(det):
+        return False
+    qm = reference_q_poly(M)
+    lead = next(i for i, c in enumerate(qm) if c)
+    c = det[lead] / qm[lead]
+    return det == tuple(c * x for x in qm)
 
 
 # ------------------------------------------- reference plane scans (field scalars)

@@ -611,21 +611,86 @@ def test_overlong_numbers_are_parse_errors():
 
 
 @pytest.mark.parametrize(
-    "header, token, message",
+    "text, where, message",
     [
-        ("field Q", "1x", "bad rational '1x'"),
-        ("field Q", "7" * 40 + "x", "bad rational '" + "7" * 32 + "…' (41 chars)"),
-        ("field Q sqrt 2", "2*" + "3" * 40, "bad quadratic scalar '2*" + "3" * 30 + "…' (42 chars)"),
-        ("field Q sqrt 2", "1/" + "0" * 40 + "r", "bad rational '1/" + "0" * 30 + "…' (42 chars)"),
-        ("field F 5", "x" * 4400, "bad residue '" + "x" * 32 + "…' (4400 chars)"),
-        ("field F 5", "8" * 4400, "bad residue '" + "8" * 32 + "…' (4400 chars): too many digits"),
+        ("field Q\nline 1 0 1x", (2, 10), "bad rational '1x'"),
+        ("field Q\nline 1 0 " + "7" * 40 + "x", (2, 10), "bad rational '" + "7" * 32 + "…' (41 chars)"),
+        (
+            "field Q sqrt 2\nline 1 0 2*" + "3" * 40,
+            (2, 10),
+            "bad quadratic scalar '2*" + "3" * 30 + "…' (42 chars)",
+        ),
+        (
+            "field Q sqrt 2\nline 1 0 1/" + "0" * 40 + "r",
+            (2, 10),
+            "bad rational '1/" + "0" * 30 + "…' (42 chars)",
+        ),
+        ("field F 5\nline 1 0 " + "x" * 4400, (2, 10), "bad residue '" + "x" * 32 + "…' (4400 chars)"),
+        (
+            "field F 5\nline 1 0 " + "8" * 4400,
+            (2, 10),
+            "bad residue '" + "8" * 32 + "…' (4400 chars): too many digits",
+        ),
+        (
+            "field F " + "x" * 5000 + "\nline 1 0 0",
+            (1, 1),
+            "bad field header: '" + "x" * 32 + "…' (5000 chars): not an integer",
+        ),
+        (
+            "field F " + "7" * 4400 + "\nline 1 0 0",
+            (1, 1),
+            "bad field header: '" + "7" * 32 + "…' (4400 chars): too many digits",
+        ),
+        (
+            "field Q sqrt -" + "5" * 4400 + "\nline 1 0 0",
+            (1, 1),
+            "bad field header: '-" + "5" * 31 + "…' (4401 chars): too many digits",
+        ),
+        (
+            "field F " + "7" * 4000 + "\nline 1 0 0",
+            (1, 1),
+            "bad field header: a 13288-bit integer is beyond the certified primality range",
+        ),
+        (
+            "field Q sqrt " + "3" * 4000 + "\nline 1 0 0",
+            (1, 1),
+            "bad field header: |d| = a 13287-bit integer is not below",
+        ),
     ],
-    ids=["short", "rational", "quadratic", "zero-denominator", "residue", "digit-limit"],
+    ids=[
+        "short",
+        "rational",
+        "quadratic",
+        "zero-denominator",
+        "residue",
+        "digit-limit",
+        "header-letters",
+        "header-digit-limit",
+        "header-quadratic-digit-limit",
+        "header-prime-range",
+        "header-quadratic-range",
+    ],
 )
-def test_parse_errors_show_at_most_32_token_characters(header, token, message):
-    err = parse_error(f"{header}\nline 1 0 {token}\n")
-    assert (err.line, err.column) == (2, 10)
+def test_parse_errors_show_at_most_32_token_characters(text, where, message):
+    err = parse_error(text + "\n")
+    assert (err.line, err.column) == where
     assert err.message.startswith(message)
+    assert len(err.message) < len(message) + 60
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("9" * 4400, "bad multiplicity '" + "9" * 32 + "…' (4400 chars): too many digits"),
+        ("x" * 400, "multiplicity must be a positive integer, got '" + "x" * 32 + "…' (400 chars)"),
+    ],
+    ids=["digit-limit", "letters"],
+)
+def test_multiplicity_errors_show_at_most_32_token_characters(token, message):
+    with pytest.raises(ParseError) as info:
+        parse_multiarrangement(f"field Q\nmline 1 0 {token}\n")
+    assert (info.value.line, info.value.column) == (2, 11)
+    assert info.value.message == message
 
 
 _FUZZ_TOKENS = st.one_of(

@@ -6,21 +6,30 @@ dehomogenizing at y = 1, and small graded dimensions over F_5 are
 re-counted by full enumeration of candidate derivations.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import (
     Q,
+    field_directions,
     kernel_and_rank,
     random_arrangement,
     random_multiarrangement,
-    reference_rref,
+    reference_constraint_rows,
+    reference_kernel,
+    reference_q_poly,
+    reference_saito_verify,
     reference_theta2,
 )
-from linarr import derivations, exactalg
+from linarr import derivations
 from linarr.arrangement import Arrangement, normalize_direction
 from linarr.derivations import (
     AT_INFINITY,
@@ -40,7 +49,6 @@ from linarr.derivations import (
     linear_power,
     parse_multiarrangement,
     poly_mul,
-    q_poly,
     saito_verify,
     ziegler_restriction,
 )
@@ -50,7 +58,7 @@ from linarr.errors import (
     ParseError,
     PreconditionError,
 )
-from linarr.exactalg import Field, Quad
+from linarr.exactalg import Field, Quad, _scalar
 from linarr.fixtures import pencil, squares_diagonals, star7_transversal_q
 
 F5 = Field.prime(5)
@@ -123,6 +131,23 @@ def mk(field, pairs):
 
 def rand_poly(rng, field, d):
     return tuple(field.from_int(rng.randint(-3, 3)) for _ in range(d + 1))
+
+
+def lifted_scalars(parts, one) -> list:
+    """Field scalars of a vector in integer form (exactalg._lift), given
+    as a tuple of parts: (ints,), or (u parts, v parts) over Q(sqrt d)."""
+    if type(one) is Quad:
+        return [_scalar(uv, 1, one) for uv in zip(*parts)]
+    return [_scalar(x, 1, one) for x in parts[0]]
+
+
+def is_nonzero_multiple(got, want) -> bool:
+    """Whether want = c * got for one nonzero scalar c."""
+    lead = next((i for i, x in enumerate(got) if x), None)
+    if lead is None or not want[lead]:
+        return False
+    c = want[lead] / got[lead]
+    return list(want) == [c * x for x in got]
 
 
 # ----------------------------------------------------- division against oracle
@@ -228,7 +253,13 @@ def test_constraint_rows_match_adic_construction():
             else:
                 M = random_multiarrangement(rng, field, max_h=4, max_mult=4)
             for d in range(M.size + 1):
-                assert _constraint_rows(M, d) == adic_constraint_rows(M, d)
+                rows = _constraint_rows(M, d)
+                want = adic_constraint_rows(M, d)
+                assert len(rows) == len(want)
+                for row, ref in zip(rows, want):
+                    parts = row if field is qr2 else (row,)
+                    assert is_nonzero_multiple(lifted_scalars(parts, field.one), ref)
+                assert reference_constraint_rows(M, d) == want
 
 
 def test_graded_dims_frozen():
@@ -276,8 +307,8 @@ def test_graded_kernel_vectors_are_members():
             for theta in basis:
                 assert theta.degree == d
                 assert is_member(M, theta)
-            # the rows-level kernel gives the basis of the coerced matrix
-            kernel, _ = kernel_and_rank(field, _constraint_rows(M, d), 2 * (d + 1))
+            # the rows-level kernel of the field-scalar rows gives the same basis
+            kernel, _ = kernel_and_rank(field, reference_constraint_rows(M, d), 2 * (d + 1))
             assert [list(theta.px + theta.py) for theta in basis] == kernel
 
 
@@ -308,8 +339,8 @@ def counted_exponents(monkeypatch, M):
     """Uncached exponents(M) and the degrees of the graded kernels it built.
 
     Also checks that the call built Q(M) exactly once, and that it
-    eliminated only inside graded_kernel, never through derivations'
-    own _rref_rows.
+    eliminated only inside graded_kernel, never through the rank that
+    graded_kernel_dim takes.
     """
     calls = []
     q_builds = []
@@ -320,17 +351,18 @@ def counted_exponents(monkeypatch, M):
 
     def counting_q(M):
         q_builds.append(M)
-        return q_poly(M)
+        return q_lifted(M)
 
     def no_dims(M, d):
         raise AssertionError("exponents must not call graded_kernel_dim")
 
-    def no_rref(rows, ncols, one):
+    def no_rank(rows, ncols, one):
         raise AssertionError("exponents must eliminate only through graded_kernel")
 
+    q_lifted = derivations._q_lifted
     monkeypatch.setattr(derivations, "graded_kernel", counting)
-    monkeypatch.setattr(derivations, "_rref_rows", no_rref)
-    monkeypatch.setattr(derivations, "q_poly", counting_q)
+    monkeypatch.setattr(derivations, "_rank_lifted", no_rank)
+    monkeypatch.setattr(derivations, "_q_lifted", counting_q)
     monkeypatch.setattr(derivations, "graded_kernel_dim", no_dims)
     exp = exponents.__wrapped__(M)
     assert q_builds == [M]
@@ -436,7 +468,8 @@ def test_saito_verify_hand_pair():
     t2 = HomDerivation(Q, (0, 0, 0), (0, 0, 1))
     assert saito_verify(t1, t2, M)
     # Q(M) = x^2 y^2
-    assert q_poly(M) == (0, 0, 1, 0, 0)
+    assert reference_q_poly(M) == (0, 0, 1, 0, 0)
+    assert derivations._q_lifted(M) == ([0, 0, 1, 0, 0],)
 
 
 def test_saito_verify_rejects_dependent_pair():
@@ -451,6 +484,86 @@ def test_saito_verify_degree_mismatch():
     theta_e = HomDerivation(Q, (1, 0), (0, 1))
     with pytest.raises(PreconditionError):
         saito_verify(t1, theta_e, M)
+
+
+SAITO_FIELDS = (Q, Field.quadratic(2), Field.quadratic(-3), F5, Field.prime(101))
+SAITO_CASES = (
+    "witnesses", "scaled", "sheared", "in S*theta1", "perturbed", "irrational shift", "random"
+)
+
+
+def _random_scalar(rng, field):
+    x = field.from_int(rng.randint(-3, 3))
+    if field.kind == "quadratic" and rng.random() < 0.5:
+        x = x + Quad(0, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), field.d)
+    return x
+
+
+def _random_poly(rng, field, d):
+    """A nonzero homogeneous polynomial of degree d."""
+    while True:
+        f = tuple(_random_scalar(rng, field) for _ in range(d + 1))
+        if any(f):
+            return f
+
+
+def _times(field, f, theta):
+    return HomDerivation(field, poly_mul(field, f, theta.px), poly_mul(field, f, theta.py))
+
+
+@given(
+    st.sampled_from(SAITO_FIELDS),
+    st.sampled_from(SAITO_CASES),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=250, deadline=None)
+def test_saito_verify_matches_reference(field, case, seed):
+    """saito_verify on integer lifts decides as the field-scalar check does."""
+    rng = random.Random(seed)
+    if case == "irrational shift":
+        dirs = rng.sample(field_directions(field), rng.randint(1, 4))
+        M = Multiarrangement(field, dirs, [rng.randint(1, 3) for _ in dirs])
+    else:
+        M = random_multiarrangement(rng, field, max_h=4, min_h=1, max_mult=3)
+    e = exponents(M)
+    t1, t2 = e.theta1, e.theta2
+    f = _random_poly(rng, field, e.d2 - e.d1)
+    if case == "scaled":
+        # nonzero multiples, in either order
+        t1, t2 = (_times(field, _random_poly(rng, field, 0), t) for t in (t1, t2))
+        if rng.random() < 0.5:
+            t1, t2 = t2, t1
+    elif case == "sheared":
+        # theta2 + f*theta1 keeps the determinant, and is not zero
+        g = _times(field, f, t1)
+        t2 = HomDerivation(field, tuple(map(add, t2.px, g.px)), tuple(map(add, t2.py, g.py)))
+    elif case == "in S*theta1":
+        t2 = _times(field, f, t1)
+    elif case == "perturbed":
+        px, py = list(t2.px), list(t2.py)
+        i = rng.randrange(len(px))
+        py[i] = py[i] + _random_poly(rng, field, 0)[0]
+        if any(px) or any(py):
+            t2 = HomDerivation(field, tuple(px), tuple(py))
+    elif case == "irrational shift":
+        # over Q(sqrt d), M and its witnesses are rational, so sqrt(d)*g
+        # moves only the v parts of the determinant
+        s = Quad(0, 1, field.d) if field.kind == "quadratic" else field.one
+        g = [s * rng.randint(-3, 3) for _ in range(2 * e.d2 + 2)]
+        px, py = tuple(map(add, t2.px, g[: e.d2 + 1])), tuple(map(add, t2.py, g[e.d2 + 1 :]))
+        if any(px) or any(py):
+            t2 = HomDerivation(field, px, py)
+    elif case == "random":
+        a = rng.randint(0, M.size)
+        t1 = HomDerivation(field, _random_poly(rng, field, a), _random_poly(rng, field, a))
+        b = M.size - a
+        t2 = HomDerivation(field, _random_poly(rng, field, b), _random_poly(rng, field, b))
+    got = saito_verify(t1, t2, M)
+    assert got == reference_saito_verify(t1, t2, M)
+    if case in ("witnesses", "scaled", "sheared"):
+        assert got
+    if case == "in S*theta1":
+        assert not got
 
 
 # ------------------------------------------------------------- Euler witness
@@ -506,12 +619,15 @@ def test_saito_verify_rejects_field_mismatch(field):
 
 def test_q_poly_times_dx_is_member():
     rng = random.Random(19)
-    for field in (Q, F5):
+    for field in (Q, F5, Field.quadratic(2)):
         for _ in range(15):
             M = random_multiarrangement(rng, field, max_h=4, min_h=1, max_mult=3)
-            q = q_poly(M)
+            q = reference_q_poly(M)
             zero = (field.zero,) * len(q)
             assert is_member(M, HomDerivation(field, q, zero))
+            # the integer form Saito's check builds is Q(M) up to a scalar
+            lifted = lifted_scalars(derivations._q_lifted(M), field.one)
+            assert is_nonzero_multiple(lifted, q)
 
 
 # --------------------------------------------------------- exponent lemmas
@@ -599,6 +715,56 @@ def _unbalanced_multiarrangements(rng, field, count):
 UNBALANCED_FIELDS = (Q, Field.quadratic(2), Field.quadratic(-3), F5, Field.prime(101))
 
 
+def _battery_multiarrangements():
+    """550 seeded multiarrangements, 110 per field of UNBALANCED_FIELDS.
+
+    They cycle through even |m|, odd |m|, one dominant multiplicity and
+    even |m| again; over Q(sqrt d) every other one draws from irrational
+    centrals too.
+    """
+    rng = random.Random(1313)
+    for field in (Q, F5, Field.prime(101), Field.quadratic(2), Field.quadratic(-3)):
+        one = field.one
+        rational = [(field.zero, one)]
+        if field.characteristic:
+            rational += [(one, field.from_int(t)) for t in range(field.p)]
+        else:
+            rational += [(one, field.from_int(t)) for t in range(-5, 6)]
+            rational += [(2 * one, field.from_int(t)) for t in (-3, -1, 1, 3)]
+        irrational = []
+        if field.kind == "quadratic":
+            irrational += [(one, Quad(u, v, field.d)) for u in range(-2, 3) for v in (-1, 1, 2)]
+            irrational += [(2 * one, Quad(u, v, field.d)) for u in (-1, 1) for v in (-1, 1)]
+        for k in range(110):
+            dirs = rational + (irrational if k % 2 == 0 else [])
+            h = rng.randint(1, 5)
+            mults = [rng.randint(1, 4) for _ in range(h)]
+            if k % 4 == 2:
+                i = rng.randrange(h)
+                mults[i] = sum(mults) - mults[i] + rng.randint(1, 3)
+            elif sum(mults) % 2 != (k % 4 == 1):
+                mults[rng.randrange(h)] += 1
+            yield Multiarrangement(field, rng.sample(dirs, h), mults)
+
+
+def test_exponents_battery_digest():
+    """Degrees and witnesses of 550 multiarrangements, frozen by one digest.
+
+    The digest was recorded with field-scalar constraint rows and a
+    field-scalar Saito check, before both moved onto integer lifts.
+    """
+    digest = hashlib.sha256()
+    unbalanced = 0
+    for M in _battery_multiarrangements():
+        e = exponents.__wrapped__(M)
+        digest.update(repr((M.field, e.d1, e.d2, e.theta1, e.theta2)).encode())
+        unbalanced += e.d1 != e.d2
+    assert unbalanced == 386
+    assert digest.hexdigest() == (
+        "270cbaaac41e0a2540e251e9d3cce75f1638b5df791b4ad130e9f51d99296509"
+    )
+
+
 @pytest.mark.parametrize("field", UNBALANCED_FIELDS, ids=str)
 def test_unbalanced_exponents_match_reference_rref(field, monkeypatch):
     cases = _unbalanced_multiarrangements(random.Random(31), field, 16)
@@ -613,8 +779,10 @@ def test_unbalanced_exponents_match_reference_rref(field, monkeypatch):
         return out
 
     fast = run()
-    monkeypatch.setattr(exactalg, "_rref_rows", reference_rref)
-    monkeypatch.setattr(derivations, "_rref_rows", reference_rref)
+    # the same exponents from field-scalar rows, kernels and Saito checks
+    monkeypatch.setattr(derivations, "_constraint_rows", reference_constraint_rows)
+    monkeypatch.setattr(derivations, "_kernel_lifted", reference_kernel)
+    monkeypatch.setattr(derivations, "saito_verify", reference_saito_verify)
     assert run() == fast
     for M, (d1, d2, _, _) in zip(cases, fast):
         assert d1 < d2
