@@ -11,12 +11,10 @@ exponents() reads d1 off one graded kernel probed at degree |m| // 2.
 The Saito determinant both selects the second generator theta2 and
 certifies the pair.
 
-The exponent path computes on exactalg's integer form: the constraint
-rows of a graded kernel are written as ints (pairs in Z[sqrt d] over
-Q(sqrt d), residues over F_p) and eliminated there, and Saito's check
-compares the determinant of the witnesses' lifts with Q(M) built from
-the centrals' lifts. Field scalars are built only after elimination,
-for the kernel vectors. is_member, divides_power and adic_coefficients stay on field
+Saito's check computes on exactalg's integer form: it compares the
+determinant of the witnesses' lifts with Q(M) built from the centrals'
+lifts, each known up to a nonzero scalar, in Z, in Z[sqrt d] or modulo
+p. is_member, divides_power and adic_coefficients stay on field
 scalars, as an independent check.
 
 Homogeneous polynomials of degree d are coefficient tuples of length
@@ -42,12 +40,10 @@ from .arrangement import (
 from .errors import InvariantViolation, ParseError, PreconditionError
 from .exactalg import (
     Field,
-    Mod,
-    Quad,
-    _kernel_lifted,
     _kernel_rows,
-    _lift,
-    _rank_lifted,
+    _lift_parts,
+    _lifted_mul,
+    _rref_rows,
     _shown,
 )
 
@@ -264,42 +260,6 @@ class Multiarrangement:
         return f"Multiarrangement({self.field}, h={self.h}, |m|={self.size})"
 
 
-# ------------------------------------------- polynomials in integer form
-#
-# A polynomial in integer form is its coefficient tuple lifted as in
-# exactalg._lift, kept as a tuple of parts: (ints,) over Q, (residues,)
-# over F_p and (u parts, v parts) over Q(sqrt d). It stands for the
-# polynomial up to a nonzero scalar, which Saito's check never needs.
-
-
-def _int_mul(p: list, q: list) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _parts(vec, one) -> tuple:
-    """vec in integer form, as a tuple of parts."""
-    lifted = _lift(vec, one)
-    return lifted if type(one) is Quad else (lifted,)
-
-
-def _lifted_mul(p: tuple, q: tuple, one) -> tuple:
-    """Product of two polynomials in integer form over type(one)."""
-    if type(one) is Quad:
-        (pu, pv), (qu, qv) = p, q
-        d = one.d
-        return (
-            [a + d * b for a, b in zip(_int_mul(pu, qu), _int_mul(pv, qv))],
-            [a + b for a, b in zip(_int_mul(pu, qv), _int_mul(pv, qu))],
-        )
-    out = _int_mul(p[0], q[0])
-    return ([x % one.p for x in out] if type(one) is Mod else out,)
-
-
 def _q_lifted(M: Multiarrangement) -> tuple:
     """Q(M), the product of alpha^m over all centrals, in integer form.
 
@@ -307,9 +267,9 @@ def _q_lifted(M: Multiarrangement) -> tuple:
     linear_power.
     """
     one = M.field.one
-    out = ([1], [0]) if type(one) is Quad else ([1],)
+    out = _lift_parts((one,), one)
     for central, m in M.items():
-        base = _parts(central, one)
+        base = _lift_parts(central, one)
         for _ in range(m):
             out = _lifted_mul(out, base, one)
     return out
@@ -378,62 +338,28 @@ def _constraint_rows(M: Multiarrangement, d: int) -> list:
     [j = s] for alpha = y, [j = d-s] for alpha = x, and
     C(j, s) * (-1)^(j-s) * b^(-j) for alpha = x + b*y, since there
     x = beta and y = (alpha - beta)/b.
-
-    The rows come in integer form (exactalg._lift), each scaled by a
-    nonzero constant, which changes neither its RREF nor its kernel.
-    For alpha = x + b*y lifted to a0*x + a1*y the scale is
-    (-1)^s * a1^d * a0, which turns the coordinate of x^(d-j) y^j into
-    C(j, s) * (-a0)^j * a1^(d-j) times a0, and b times it into the same
-    with a1^(d-j+1). Over Q(sqrt d), a0 is an int and a1 is in Z[sqrt d].
     """
-    one = M.field.one
-    quad = type(one) is Quad
-    p = one.p if type(one) is Mod else None
-    width = d + 1
-    zeros = [0] * (2 * width)
+    field = M.field
     rows = []
-    for central, mult in M.items():
-        steps = min(mult, width)
-        a, b = central
-        if not (a and b):
-            for s in range(steps):
-                row = zeros.copy()
-                row[d - s if a else width + s] = 1
-                rows.append((row, zeros) if quad else row)
-            continue
-        # a1^k for k <= d + 1: its ints, or its u and v parts in Z[sqrt d]
-        if quad:
-            (a0, au), (_, av) = _lift(central, one)
-            powers = ([1], [0])
-            for _ in range(width):
-                u, v = powers[0][-1], powers[1][-1]
-                powers[0].append(u * au + one.d * v * av)
-                powers[1].append(u * av + v * au)
-        else:
-            a0, a1 = _lift(central, one)
-            powers = ([a1**k for k in range(width + 1)],)
-        # per part: (-a0)^j * a1^(d-j) times a0, and (-a0)^j * a1^(d-j+1)
-        halves = [
-            (
-                [a0 * (-a0) ** j * pw[d - j] for j in range(width)],
-                [(-a0) ** j * pw[d + 1 - j] for j in range(width)],
-            )
-            for pw in powers
-        ]
-        for s in range(steps):
-            pad = [0] * s
-            binom = [comb(j, s) for j in range(s, width)]
-            parts = [
-                pad
-                + [c * x for c, x in zip(binom, first[s:])]
-                + pad
-                + [c * x for c, x in zip(binom, second[s:])]
-                for first, second in halves
-            ]
-            if quad:
-                rows.append(tuple(parts))
+    width = d + 1
+    zero, one = field.zero, field.one
+    for (a, b), mult in M.items():
+        if a and b:
+            # (-1)^(j-s) b^(-j) = (-1)^s (-1/b)^j
+            neg_inv = -(one / b)
+            inv_powers = [one]
+            for _ in range(d):
+                inv_powers.append(inv_powers[-1] * neg_inv)
+        for s in range(min(mult, width)):
+            if a and b:
+                sign = -1 if s & 1 else 1
+                coef = [zero] * s + [
+                    sign * comb(j, s) * inv_powers[j] for j in range(s, width)
+                ]
             else:
-                rows.append([x % p for x in parts[0]] if p else parts[0])
+                coef = [zero] * width
+                coef[d - s if a else s] = one
+            rows.append([a * c for c in coef] + [b * c for c in coef])
     return rows
 
 
@@ -441,14 +367,18 @@ def graded_kernel_dim(M: Multiarrangement, d: int) -> int:
     """Dimension of the degree-d homogeneous piece of D(M)."""
     if d < 0:
         raise PreconditionError("degree must be >= 0")
+    rows = _constraint_rows(M, d)
     ncols = 2 * (d + 1)
-    return ncols - _rank_lifted(_constraint_rows(M, d), ncols, M.field.one)
+    if not rows:
+        return ncols
+    _, pivots = _rref_rows(rows, ncols, M.field.one)
+    return ncols - len(pivots)
 
 
 def graded_kernel(M: Multiarrangement, d: int) -> tuple:
     """Deterministic basis of the degree-d piece, as HomDerivations."""
     width = d + 1
-    basis = _kernel_lifted(_constraint_rows(M, d), 2 * width, M.field.one)
+    basis = _kernel_rows(_constraint_rows(M, d), 2 * width, M.field.one)
     return tuple(
         HomDerivation(M.field, vec[:width], vec[width:]) for vec in basis
     )
@@ -489,8 +419,7 @@ def exponents(M: Multiarrangement) -> Exponents:
     saito_verify with theta1: its determinant with theta1 is zero
     exactly on S*theta1, rejected before Q(M) is built, and otherwise a
     nonzero constant times Q(M). So Saito's check selects theta2 too.
-    The kernels are eliminated on integer constraint rows and the checks
-    run on integer lifts (see the module docstring).
+    Saito's check runs on integer lifts (see the module docstring).
     """
 
     def violation(message: str) -> InvariantViolation:
@@ -562,7 +491,7 @@ def saito_verify(theta1: HomDerivation, theta2: HomDerivation, M: Multiarrangeme
 def _lifted_halves(theta: HomDerivation, one) -> tuple:
     """(P, Q) of theta in integer form, lifted together with one scale."""
     width = theta.degree + 1
-    parts = _parts(theta.px + theta.py, one)
+    parts = _lift_parts(theta.px + theta.py, one)
     return tuple(x[:width] for x in parts), tuple(x[width:] for x in parts)
 
 

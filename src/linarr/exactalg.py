@@ -11,9 +11,8 @@ A Field value describes which representation a computation uses and
 provides coercion, parsing, and formatting. All arithmetic is
 arbitrary precision; nothing here ever rounds.
 
-_kernel_rows is the one kernel construction (_kernel_lifted for rows
-already in integer form): it takes plain rows of field scalars and
-returns the reduced row echelon form of the standard
+_kernel_rows is the one kernel construction: it takes plain rows of
+field scalars and returns the reduced row echelon form of the standard
 free-variable parametrization of their null space, which makes the
 basis deterministic: the same rows always yield the same vectors in the
 same order.
@@ -25,10 +24,9 @@ residues over F_p. _scalar(num, den, one) builds num/den as a field
 scalar, with num a (u, v) pair over Q(sqrt d) and den 1 over F_p. The
 intersection lattice of an arrangement and the elimination below
 compute on these ints and build field scalars only for results.
-_rref_lifted, _kernel_lifted and _rank_lifted take rows already in
-this form, each up to a nonzero scale: derivations writes its
-constraint rows straight into it, and its Saito check multiplies
-polynomials in it.
+Polynomials take the same form: _lift_parts lifts a coefficient tuple
+into a tuple of parts, one part per int list above, and _lifted_mul
+multiplies two of them, which is how derivations runs Saito's check.
 
 Keys: points and lines are homogeneous triples. The point (x, y) is
 (x, y, 1), its head the last coordinate; the line a*x + b*y + c = 0 is
@@ -54,9 +52,7 @@ Sylvester's identity. In Z[sqrt d] it is multiplication by conj(prev)
 followed by exact division of both parts by the norm of prev. F_p uses
 ordinary Gauss-Jordan modulo p. Every pivot ends equal to the last
 one, D, so each returned cell is entry/D, and at most one field scalar
-is built per returned cell. Each field has one elimination loop
-(_eliminate_*), which _rref_* turns into field scalars and _rank_lifted
-only counts.
+is built per returned cell.
 """
 
 from __future__ import annotations
@@ -537,6 +533,35 @@ def _scalar(num, den, one):
     return Fraction(num, den)
 
 
+def _lift_parts(vec, one) -> tuple:
+    """vec in integer form as a tuple of parts: (ints,) over Q, (residues,)
+    over F_p, (u parts, v parts) over Q(sqrt d)."""
+    lifted = _lift(vec, one)
+    return lifted if type(one) is Quad else (lifted,)
+
+
+def _int_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _lifted_mul(p: tuple, q: tuple, one) -> tuple:
+    """Product of two polynomials given by _lift_parts of their coefficients."""
+    if type(one) is Quad:
+        (pu, pv), (qu, qv) = p, q
+        d = one.d
+        return (
+            [a + d * b for a, b in zip(_int_mul(pu, qu), _int_mul(pv, qv))],
+            [a + b for a, b in zip(_int_mul(pu, qv), _int_mul(pv, qu))],
+        )
+    out = _int_mul(p[0], q[0])
+    return ([x % one.p for x in out] if type(one) is Mod else out,)
+
+
 # ------------------------------------------------- keys of points and lines
 #
 # A join takes the head of its result: 2 for a meet of two lines, or 0
@@ -626,43 +651,16 @@ def _rref_rows(rows: list[list], ncols: int, one) -> tuple[list[list], list[int]
     The field is type(one). The rows are lifted to ints once and
     eliminated there; only the returned cells become field scalars.
     """
-    return _rref_lifted([_lift(row, one) for row in rows], ncols, one)
-
-
-def _rref_lifted(lifted: list, ncols: int, one) -> tuple[list[list], list[int]]:
-    """_rref_rows of rows given in integer form; any row scale is allowed."""
     if type(one) is Mod:
-        return _rref_residues(lifted, ncols, one)
+        return _rref_residues(rows, ncols, one)
     if type(one) is Quad:
-        return _rref_quadratic(lifted, ncols, one)
-    return _rref_rational(lifted, ncols, one)
+        return _rref_quadratic(rows, ncols, one)
+    return _rref_rational(rows, ncols, one)
 
 
-def _rank_lifted(lifted: list, ncols: int, one) -> int:
-    """The rank of rows given in integer form; builds no field scalar."""
-    if type(one) is Mod:
-        return len(_eliminate_residues(lifted, ncols, one)[1])
-    if type(one) is Quad:
-        return len(_eliminate_quadratic(lifted, ncols, one)[1])
-    return len(_eliminate_rational(lifted, ncols, one)[1])
-
-
-def _rref_rational(lifted, ncols, one):
-    rows, pivots, prev = _eliminate_rational(lifted, ncols, one)
-    zero = one - one
-    out = [
-        [one if x == prev else _scalar(x, prev, one) if x else zero for x in row]
-        for row in rows
-    ]
-    return out, pivots
-
-
-def _eliminate_rational(lifted, ncols, one):
-    """Fraction-free Gauss-Jordan over Z; every pivot ends equal to prev.
-
-    Returns the nonzero echelon rows, their pivot columns and prev.
-    """
-    lifted = [ints for ints in lifted if any(ints)]
+def _rref_rational(rows, ncols, one):
+    """Fraction-free Gauss-Jordan over Z; every pivot ends equal to prev."""
+    lifted = [ints for ints in (_lift(row, one) for row in rows) if any(ints)]
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
@@ -687,35 +685,24 @@ def _eliminate_rational(lifted, ncols, one):
         pivots.append(c)
         if len(pivots) == len(lifted):
             break
-    return lifted[: len(pivots)], pivots, prev
-
-
-def _rref_quadratic(lifted, ncols, one):
-    rows, pivots, (pu, pv, norm) = _eliminate_quadratic(lifted, ncols, one)
     zero = one - one
-    dpv = one.d * pv
-
-    def scalar(a, b):
-        # (a + b sqrt d) / (pu + pv sqrt d)
-        if not (a or b):
-            return zero
-        if a == pu and b == pv:
-            return one
-        return _scalar((a * pu - dpv * b, b * pu - a * pv), norm, one)
-
-    out = [[scalar(a, b) for a, b in zip(us, vs)] for us, vs in rows]
+    out = [
+        [one if x == prev else _scalar(x, prev, one) if x else zero for x in row]
+        for row in lifted[: len(pivots)]
+    ]
     return out, pivots
 
 
-def _eliminate_quadratic(lifted, ncols, one):
+def _rref_quadratic(rows, ncols, one):
     """Fraction-free Gauss-Jordan over Z[sqrt d], rows as (us, vs) int lists.
 
     Division by prev is multiplication by its conjugate, then exact
-    division of both parts by its norm. Returns the nonzero echelon
-    rows, their pivot columns and (pu, pv, norm) of the last pivot.
+    division of both parts by its norm.
     """
     d = one.d
-    lifted = [(us, vs) for us, vs in lifted if any(us) or any(vs)]
+    lifted = [
+        (us, vs) for us, vs in (_lift(row, one) for row in rows) if any(us) or any(vs)
+    ]
     pivots: list[int] = []
     pu, pv, norm = 1, 0, 1
     for c in range(ncols):
@@ -754,21 +741,25 @@ def _eliminate_quadratic(lifted, ncols, one):
         pivots.append(c)
         if len(pivots) == len(lifted):
             break
-    return lifted[: len(pivots)], pivots, (pu, pv, norm)
-
-
-def _rref_residues(lifted, ncols, one):
-    rows, pivots = _eliminate_residues(lifted, ncols, one)
     zero = one - one
-    out = [[one if x == 1 else _scalar(x, 1, one) if x else zero for x in row] for row in rows]
+    dpv = d * pv
+
+    def scalar(a, b):
+        # (a + b sqrt d) / (pu + pv sqrt d)
+        if not (a or b):
+            return zero
+        if a == pu and b == pv:
+            return one
+        return _scalar((a * pu - dpv * b, b * pu - a * pv), norm, one)
+
+    out = [[scalar(a, b) for a, b in zip(us, vs)] for us, vs in lifted[: len(pivots)]]
     return out, pivots
 
 
-def _eliminate_residues(lifted, ncols, one):
-    """Gauss-Jordan on residue ints modulo p; returns the nonzero echelon
-    rows and their pivot columns."""
+def _rref_residues(rows, ncols, one):
+    """Gauss-Jordan on residue ints modulo p."""
     p = one.p
-    lifted = [ints for ints in lifted if any(ints)]
+    lifted = [ints for ints in (_lift(row, one) for row in rows) if any(ints)]
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -789,7 +780,12 @@ def _eliminate_residues(lifted, ncols, one):
         pivots.append(c)
         if len(pivots) == len(lifted):
             break
-    return lifted[: len(pivots)], pivots
+    zero = one - one
+    out = [
+        [one if x == 1 else _scalar(x, 1, one) if x else zero for x in row]
+        for row in lifted[: len(pivots)]
+    ]
+    return out, pivots
 
 
 def _kernel_rows(rows: list[list], ncols: int, one) -> list[list]:
@@ -799,16 +795,7 @@ def _kernel_rows(rows: list[list], ncols: int, one) -> list[list]:
     nonzero only in free columns left of its pivot, so the free-column
     parametrization is already reduced. rank + len(basis) equals ncols.
     """
-    return _kernel_lifted([_lift(row, one) for row in rows], ncols, one)
-
-
-def _kernel_lifted(lifted: list, ncols: int, one) -> list[list]:
-    """_kernel_rows of rows given in integer form; any row scale is allowed."""
-    if type(one) is Quad:
-        flipped = [(us[::-1], vs[::-1]) for us, vs in lifted]
-    else:
-        flipped = [row[::-1] for row in lifted]
-    echelon, pivots = _rref_lifted(flipped, ncols, one)
+    echelon, pivots = _rref_rows([row[::-1] for row in rows], ncols, one)
     last = ncols - 1
     pivot_set = {last - c for c in pivots}
     zero = one - one

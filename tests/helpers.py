@@ -10,7 +10,6 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from linarr.arrangement import (
     Arrangement,
@@ -256,39 +255,17 @@ def reference_theta2(M: Multiarrangement, theta1: HomDerivation, d2: int) -> Hom
     raise AssertionError("no degree-d2 kernel vector outside S*theta1")
 
 
-def reference_kernel(rows: list[list], ncols: int, one) -> list[list]:
-    """The RREF basis of the null space, in field scalars throughout.
-
-    The free-variable parametrization of reference_rref(rows) spans the
-    null space, and its own RREF is the unique reduced basis that
-    exactalg._kernel_rows returns.
-    """
-    echelon, pivots = reference_rref(rows, ncols, one)
-    zero = one - one
-    spanning = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for row, c in zip(echelon, pivots):
-            v[c] = -row[f]
-        spanning.append(v)
-    return reference_rref(spanning, ncols, one)[0]
-
-
 def kernel_and_rank(field: Field, rows, ncols: int) -> tuple[list[list], int]:
     """_kernel_rows and the rank of rows (ints or scalars) coerced into field."""
     rows = [[field.coerce(x) for x in row] for row in rows]
     return _kernel_rows(rows, ncols, field.one), len(_rref_rows(rows, ncols, field.one)[1])
 
 
-# -------------------------------- reference exponent building blocks (field scalars)
+# ---------------------------------- reference Saito check (field scalars)
 #
-# The constraint rows and Saito's check in field arithmetic, one scalar
-# per cell and per coefficient. derivations computes both on integer
-# lifts: its rows are these rows each times a nonzero scalar, and its
-# saito_verify must agree with reference_saito_verify on every input.
+# Saito's check in field arithmetic, one scalar per coefficient.
+# derivations runs it on integer lifts, and its saito_verify must agree
+# with reference_saito_verify on every input.
 
 
 def reference_q_poly(M: Multiarrangement) -> tuple:
@@ -297,37 +274,6 @@ def reference_q_poly(M: Multiarrangement) -> tuple:
     for central, m in M.items():
         out = poly_mul(M.field, out, linear_power(M.field, central, m))
     return out
-
-
-def reference_constraint_rows(M: Multiarrangement, d: int) -> list:
-    """The rows of derivations._constraint_rows, in field scalars and unscaled.
-
-    Central alpha = x + b*y contributes C(j, s) * (-1)^(j-s) * b^(-j)
-    at x^(d-j) y^j in row s; alpha = y and alpha = x contribute [j = s]
-    and [j = d-s].
-    """
-    field = M.field
-    rows = []
-    width = d + 1
-    zero, one = field.zero, field.one
-    for (a, b), mult in M.items():
-        if a and b:
-            # (-1)^(j-s) b^(-j) = (-1)^s (-1/b)^j
-            neg_inv = -(one / b)
-            inv_powers = [one]
-            for _ in range(d):
-                inv_powers.append(inv_powers[-1] * neg_inv)
-        for s in range(min(mult, width)):
-            if a and b:
-                sign = -1 if s & 1 else 1
-                coef = [zero] * s + [
-                    sign * comb(j, s) * inv_powers[j] for j in range(s, width)
-                ]
-            else:
-                coef = [zero] * width
-                coef[d - s if a else s] = one
-            rows.append([a * c for c in coef] + [b * c for c in coef])
-    return rows
 
 
 def reference_saito_verify(

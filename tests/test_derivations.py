@@ -23,13 +23,12 @@ from helpers import (
     kernel_and_rank,
     random_arrangement,
     random_multiarrangement,
-    reference_constraint_rows,
-    reference_kernel,
     reference_q_poly,
+    reference_rref,
     reference_saito_verify,
     reference_theta2,
 )
-from linarr import derivations
+from linarr import derivations, exactalg
 from linarr.arrangement import Arrangement, normalize_direction
 from linarr.derivations import (
     AT_INFINITY,
@@ -134,8 +133,8 @@ def rand_poly(rng, field, d):
 
 
 def lifted_scalars(parts, one) -> list:
-    """Field scalars of a vector in integer form (exactalg._lift), given
-    as a tuple of parts: (ints,), or (u parts, v parts) over Q(sqrt d)."""
+    """Field scalars of a vector given by exactalg._lift_parts: (ints,),
+    or (u parts, v parts) over Q(sqrt d)."""
     if type(one) is Quad:
         return [_scalar(uv, 1, one) for uv in zip(*parts)]
     return [_scalar(x, 1, one) for x in parts[0]]
@@ -253,13 +252,7 @@ def test_constraint_rows_match_adic_construction():
             else:
                 M = random_multiarrangement(rng, field, max_h=4, max_mult=4)
             for d in range(M.size + 1):
-                rows = _constraint_rows(M, d)
-                want = adic_constraint_rows(M, d)
-                assert len(rows) == len(want)
-                for row, ref in zip(rows, want):
-                    parts = row if field is qr2 else (row,)
-                    assert is_nonzero_multiple(lifted_scalars(parts, field.one), ref)
-                assert reference_constraint_rows(M, d) == want
+                assert _constraint_rows(M, d) == adic_constraint_rows(M, d)
 
 
 def test_graded_dims_frozen():
@@ -307,8 +300,8 @@ def test_graded_kernel_vectors_are_members():
             for theta in basis:
                 assert theta.degree == d
                 assert is_member(M, theta)
-            # the rows-level kernel of the field-scalar rows gives the same basis
-            kernel, _ = kernel_and_rank(field, reference_constraint_rows(M, d), 2 * (d + 1))
+            # the rows-level kernel gives the basis of the coerced matrix
+            kernel, _ = kernel_and_rank(field, _constraint_rows(M, d), 2 * (d + 1))
             assert [list(theta.px + theta.py) for theta in basis] == kernel
 
 
@@ -339,15 +332,24 @@ def counted_exponents(monkeypatch, M):
     """Uncached exponents(M) and the degrees of the graded kernels it built.
 
     Also checks that the call built Q(M) exactly once, and that it
-    eliminated only inside graded_kernel, never through the rank that
-    graded_kernel_dim takes.
+    eliminated only inside graded_kernel: never through derivations' own
+    _rref_rows, and never through _kernel_rows outside graded_kernel.
     """
     calls = []
     q_builds = []
+    inside = []
 
     def counting(M, d):
         calls.append(d)
-        return graded_kernel(M, d)
+        inside.append(d)
+        try:
+            return graded_kernel(M, d)
+        finally:
+            inside.pop()
+
+    def guarded_kernel(rows, ncols, one):
+        assert inside, "exponents must eliminate only through graded_kernel"
+        return kernel_rows(rows, ncols, one)
 
     def counting_q(M):
         q_builds.append(M)
@@ -356,15 +358,18 @@ def counted_exponents(monkeypatch, M):
     def no_dims(M, d):
         raise AssertionError("exponents must not call graded_kernel_dim")
 
-    def no_rank(rows, ncols, one):
+    def no_rref(rows, ncols, one):
         raise AssertionError("exponents must eliminate only through graded_kernel")
 
+    kernel_rows = derivations._kernel_rows
     q_lifted = derivations._q_lifted
-    monkeypatch.setattr(derivations, "graded_kernel", counting)
-    monkeypatch.setattr(derivations, "_rank_lifted", no_rank)
-    monkeypatch.setattr(derivations, "_q_lifted", counting_q)
-    monkeypatch.setattr(derivations, "graded_kernel_dim", no_dims)
-    exp = exponents.__wrapped__(M)
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "graded_kernel", counting)
+        patch.setattr(derivations, "_kernel_rows", guarded_kernel)
+        patch.setattr(derivations, "_rref_rows", no_rref)
+        patch.setattr(derivations, "_q_lifted", counting_q)
+        patch.setattr(derivations, "graded_kernel_dim", no_dims)
+        exp = exponents.__wrapped__(M)
     assert q_builds == [M]
     return exp, calls
 
@@ -716,7 +721,7 @@ UNBALANCED_FIELDS = (Q, Field.quadratic(2), Field.quadratic(-3), F5, Field.prime
 
 
 def _battery_multiarrangements():
-    """550 seeded multiarrangements, 110 per field of UNBALANCED_FIELDS.
+    """500 seeded multiarrangements, 100 per field of UNBALANCED_FIELDS.
 
     They cycle through even |m|, odd |m|, one dominant multiplicity and
     even |m| again; over Q(sqrt d) every other one draws from irrational
@@ -735,7 +740,7 @@ def _battery_multiarrangements():
         if field.kind == "quadratic":
             irrational += [(one, Quad(u, v, field.d)) for u in range(-2, 3) for v in (-1, 1, 2)]
             irrational += [(2 * one, Quad(u, v, field.d)) for u in (-1, 1) for v in (-1, 1)]
-        for k in range(110):
+        for k in range(100):
             dirs = rational + (irrational if k % 2 == 0 else [])
             h = rng.randint(1, 5)
             mults = [rng.randint(1, 4) for _ in range(h)]
@@ -748,10 +753,10 @@ def _battery_multiarrangements():
 
 
 def test_exponents_battery_digest():
-    """Degrees and witnesses of 550 multiarrangements, frozen by one digest.
+    """Degrees and witnesses of 500 multiarrangements, frozen by one digest.
 
-    The digest was recorded with field-scalar constraint rows and a
-    field-scalar Saito check, before both moved onto integer lifts.
+    The digest was recorded with the field-scalar Saito check, before
+    it moved onto integer lifts.
     """
     digest = hashlib.sha256()
     unbalanced = 0
@@ -759,9 +764,9 @@ def test_exponents_battery_digest():
         e = exponents.__wrapped__(M)
         digest.update(repr((M.field, e.d1, e.d2, e.theta1, e.theta2)).encode())
         unbalanced += e.d1 != e.d2
-    assert unbalanced == 386
+    assert unbalanced == 347
     assert digest.hexdigest() == (
-        "270cbaaac41e0a2540e251e9d3cce75f1638b5df791b4ad130e9f51d99296509"
+        "8ff21fb3c1f0a8aea7f1adbb959dcb4ef6f4e93b118e77743863d60cc365b55c"
     )
 
 
@@ -779,9 +784,9 @@ def test_unbalanced_exponents_match_reference_rref(field, monkeypatch):
         return out
 
     fast = run()
-    # the same exponents from field-scalar rows, kernels and Saito checks
-    monkeypatch.setattr(derivations, "_constraint_rows", reference_constraint_rows)
-    monkeypatch.setattr(derivations, "_kernel_lifted", reference_kernel)
+    # the same exponents from field-scalar eliminations and Saito checks
+    monkeypatch.setattr(exactalg, "_rref_rows", reference_rref)
+    monkeypatch.setattr(derivations, "_rref_rows", reference_rref)
     monkeypatch.setattr(derivations, "saito_verify", reference_saito_verify)
     assert run() == fast
     for M, (d1, d2, _, _) in zip(cases, fast):
