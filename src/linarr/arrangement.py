@@ -27,7 +27,6 @@ rebuild caches.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -41,11 +40,12 @@ from .exactalg import (
     _key,
     _key_scalars,
     _shown,
+    record,
     squarefree_decomposition,
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Line:
     """Normalized coefficient triple of a*x + b*y + c = 0."""
 
@@ -79,7 +79,7 @@ def normalize_direction(field: Field, a, b) -> tuple:
     return (a, b)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IncidencePoint:
     """Intersection point together with the indices of all lines through it."""
 
@@ -104,7 +104,7 @@ def line_through(field: Field, p, q) -> Line:
     return normalize_line(field, a, b, c)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CharPoly:
     """t^2 - n*t + b2 for an arrangement of n lines."""
 
@@ -139,7 +139,7 @@ class CharPoly:
         return factor(rp.low) + factor(rp.high)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Surd:
     """u + v*sqrt(rad) with rational u, v and squarefree rad not in {0, 1}."""
 
@@ -188,7 +188,7 @@ REAL_IRRATIONAL = "real-irrational"
 COMPLEX_CONJUGATE = "complex-conjugate"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RootPair:
     """Exact root data of a CharPoly.
 
@@ -592,9 +592,17 @@ def parse_arrangement(text: str, path=None) -> Arrangement:
     return Arrangement(field, lines)
 
 
+def read_input(path) -> str:
+    """The text of an input file; bytes that are not UTF-8 raise ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from None
+
+
 def load_arrangement(path) -> Arrangement:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_arrangement(fh.read(), path=str(path))
+    return parse_arrangement(read_input(path), path=str(path))
 
 
 def format_field_header(field: Field) -> str:

@@ -16,7 +16,6 @@ the JSON field names are stable and documented in the README.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 
@@ -152,6 +151,7 @@ def _cmd_free(args):
 
 
 def _entry_text(entry) -> str:
+    import json
     status = "applicable" if entry.applicable else "inapplicable"
     evidence = json.dumps(entry.evidence, default=str)
     return f"{entry.name}: {status}, {entry.conclusion} {evidence}"
@@ -419,6 +419,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json-lines":
+        import json
         for record in records:
             print(json.dumps(record, default=str))
     else:

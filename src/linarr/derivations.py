@@ -26,7 +26,6 @@ quotient of constants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -35,6 +34,7 @@ from .arrangement import (
     format_field_header,
     normalize_direction,
     parse_body,
+    read_input,
     scalar_at,
 )
 from .errors import InvariantViolation, ParseError, PreconditionError
@@ -45,6 +45,7 @@ from .exactalg import (
     _lifted_mul,
     _rref_rows,
     _shown,
+    record,
 )
 
 AT_INFINITY = "infinity"
@@ -126,7 +127,7 @@ def divides_power(field: Field, central: tuple, m: int, coeffs: tuple) -> bool:
 # ------------------------------------------------------------- domain types
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HomDerivation:
     """theta = P dx + Q dy with P, Q homogeneous of one shared degree."""
 
@@ -387,7 +388,7 @@ def graded_kernel(M: Multiarrangement, d: int) -> tuple:
 # ----------------------------------------------------------------- exponents
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Exponents:
     """Generator degrees d1 <= d2 of D(M) with certified witnesses."""
 
@@ -561,8 +562,7 @@ def parse_multiarrangement(text: str, path=None) -> Multiarrangement:
 
 
 def load_multiarrangement(path) -> Multiarrangement:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_multiarrangement(fh.read(), path=str(path))
+    return parse_multiarrangement(read_input(path), path=str(path))
 
 
 def format_multiarrangement(M: Multiarrangement) -> str:

@@ -11,6 +11,14 @@ A Field value describes which representation a computation uses and
 provides coercion, parsing, and formatting. All arithmetic is
 arbitrary precision; nothing here ever rounds.
 
+Field and the library's other value classes are records: @record
+rebuilds an annotated class with __slots__ and generated __init__ (its
+defaults, then __post_init__ if defined), __eq__ (same class, equal
+field tuples), __hash__ of the field tuple, a Name(field=value) __repr__
+and a pickling __reduce__; setting or deleting attributes raises. It
+does what dataclass(frozen=True, slots=True) did, without importing
+dataclasses, which costs the CLI about half its start-up.
+
 _kernel_rows is the one kernel construction: it takes plain rows of
 field scalars and returns the reduced row echelon form of the standard
 free-variable parametrization of their null space, which makes the
@@ -58,7 +66,6 @@ is built per returned cell.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -357,7 +364,31 @@ def _fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational {_shown(text)}: too many digits") from None
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def record(cls):
+    """cls rebuilt as a frozen record of its annotated fields; see the module docstring."""
+    names = tuple(cls.__annotations__)
+    body = {k: v for k, v in vars(cls).items() if k not in names + ("__dict__", "__weakref__")}
+    own, other = ("".join(f"{obj}.{n}, " for n in names) for obj in ("self", "other"))
+    params = ", ".join(f"{n}=_D[{n!r}]" if n in vars(cls) else n for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = [f"def __init__(self, {params}):"] + [f"    _set(self, {n!r}, {n})" for n in names]
+    source += ["    self.__post_init__()"] * ("__post_init__" in body) + [
+        "def __eq__(self, other):",
+        f"    return ({own}) == ({other}) if other.__class__ is self.__class__ else NotImplemented",
+        f"def __hash__(self): return hash(({own}))",
+        f"def __reduce__(self): return (self.__class__, ({own}))",
+        f"def __repr__(self): return f'{cls.__qualname__}({shown})'",
+    ]
+    exec("\n".join(source), {"_D": vars(cls), "_set": object.__setattr__}, body)
+    body.update(__slots__=names, __qualname__=cls.__qualname__, __setattr__=_frozen, __delattr__=_frozen)
+    return type(cls)(cls.__name__, cls.__bases__, body)
+
+
+@record
 class Field:
     """Descriptor for one of the three supported coefficient fields."""
 

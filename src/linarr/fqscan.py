@@ -18,13 +18,12 @@ lines. Prime powers q = p^n with n > 1 are not supported.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arrangement import Arrangement, Line
 from .derivations import HomDerivation, Multiarrangement, exponents, is_member
 from .errors import InvariantViolation, PreconditionError
-from .exactalg import PRIME, Field, is_prime
+from .exactalg import PRIME, Field, is_prime, record
 from .freeness import (
     FREE,
     NOT_FREE,
@@ -142,7 +141,7 @@ def complement_count(A: Arrangement) -> int:
 # ------------------------------------------------------------ line spectra
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LineSpectrum:
     """Incidence-count histograms over every line of the plane.
 
@@ -312,7 +311,7 @@ def frobenius_derivation(field: Field) -> HomDerivation:
     return HomDerivation(field, px, py)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FiniteBoundsReport:
     """Which field-order constraints on the exponents were exercised."""
 

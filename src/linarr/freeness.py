@@ -27,7 +27,6 @@ referenced by index, external lines by their coefficient text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -40,7 +39,7 @@ from .arrangement import (
 )
 from .derivations import AT_INFINITY, CACHE_SIZE, exponents, ziegler_restriction
 from .errors import InvariantViolation, MembershipError, PreconditionError
-from .exactalg import _JOIN, PRIME, _key, _key_scalars
+from .exactalg import _JOIN, PRIME, _key, _key_scalars, record
 
 FREE = "free"
 NOT_FREE = "not-free"
@@ -54,7 +53,7 @@ PLANE_PRIME_CAP = 13
 EXHAUSTIVE_GAP_CAP = 12
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FreenessCertificate:
     """Outcome of the exact freeness decision.
 
@@ -75,7 +74,7 @@ class FreenessCertificate:
         return self.verdict == FREE
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CriterionEntry:
     """One criterion's verdict: name, applicability, conclusion, evidence."""
 
@@ -93,7 +92,7 @@ class CriterionEntry:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CriterionReport:
     certificate: FreenessCertificate
     entries: tuple
@@ -105,7 +104,7 @@ class CriterionReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RootWindowReport:
     """Observed incidence counts after the root-window assertions passed."""
 

@@ -32,7 +32,7 @@ from linarr.arrangement import (
 )
 from linarr.derivations import parse_multiarrangement
 from linarr.errors import MembershipError, ParseError, PreconditionError
-from linarr.exactalg import Field, Quad
+from linarr.exactalg import PRIMALITY_CAP, SQUAREFREE_CAP, Field, Quad
 from linarr.fixtures import (
     f3_all,
     pencil,
@@ -719,6 +719,42 @@ def test_parsers_raise_only_parse_error(body, header):
             parse(f"{header}\n{body}")
         except ParseError:
             pass
+
+
+
+_NEAR_CAPS = st.builds(
+    lambda cap, offset, sign: str(sign * (cap + offset)),
+    st.sampled_from([SQUAREFREE_CAP, PRIMALITY_CAP]),
+    st.integers(-30, 30),
+    st.sampled_from([1, -1]),
+)
+_HEADER_TOKENS = st.one_of(
+    _NEAR_CAPS,
+    st.integers().map(str),
+    st.sampled_from(["+7", "1_009", "0x1f", "1e9", "٣", "nan", "sqrt", "r", "9" * 5000]),
+    st.text(max_size=8),
+)
+_HEADERS = st.one_of(
+    st.builds("field Q sqrt {}".format, _HEADER_TOKENS),
+    st.builds("field F {}".format, _HEADER_TOKENS),
+    st.builds("field {} {}".format, st.sampled_from(["Q", "F", "q", "Q sqrt sqrt"]), _HEADER_TOKENS),
+)
+
+
+@given(_HEADERS)
+@example("field Q sqrt 999999999989")
+@example(f"field Q sqrt -{SQUAREFREE_CAP - 1}")
+@example(f"field F {PRIMALITY_CAP - 2}")
+@settings(max_examples=60, deadline=None)
+def test_any_field_header_answers_in_time(header):
+    start = time.perf_counter()
+    try:
+        field = parse_arrangement(header + "\n").field
+    except ParseError:
+        pass
+    else:
+        assert isinstance(field, Field)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_format_round_trip_fixtures():

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from linarr.arrangement import load_arrangement
 from linarr.cli import main, run_verify
+from linarr.derivations import load_multiarrangement
+from linarr.errors import ParseError
 from linarr.fixtures import ARRANGEMENT_FIXTURES, fixture_names, fixture_path
 
 
@@ -352,6 +355,29 @@ def test_parse_error_exits_one(tmp_path, capsys):
     dup.write_text("field Q\nline 1 0 0\nline 2 0 0\n")
     rc, _, err = run(capsys, "chi", str(dup))
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("chi", "x.arr"), ("exponents", "x.arr"), ("verify", "x.arr"), ("exponents", "x.marr")],
+)
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, monkeypatch, command, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(b"field Q\nline 1 0 \xe9\n" if "m" in name else b"\xff\xfe")
+    rc, out, err = run(capsys, command, name)
+    assert (rc, out) == (1, [])
+    assert err.startswith(f"error: {name}: not UTF-8 text (")
+    assert len(err.splitlines()) == 1
+
+
+def test_loaders_raise_parse_error_naming_the_path(tmp_path):
+    bad = tmp_path / "bad.marr"
+    bad.write_bytes(b"\x80field Q\n")
+    for load in (load_arrangement, load_multiarrangement):
+        with pytest.raises(ParseError) as exc:
+            load(bad)
+        assert exc.value.path == str(bad)
+        assert str(exc.value).startswith(f"{bad}: not UTF-8 text")
 
 
 def test_wrong_field_for_fq_exits_one(capsys):

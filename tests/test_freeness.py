@@ -6,7 +6,6 @@ freeness via b2 against the product of the at-infinity restriction
 exponents, window facts from the integer roots.
 """
 
-import dataclasses
 import random
 from itertools import combinations
 
@@ -39,6 +38,7 @@ from linarr.freeness import (
     FREE,
     NO_CONCLUSION,
     NOT_FREE,
+    FreenessCertificate,
     addition,
     bracketing_sub,
     candidate_subarrangements,
@@ -523,7 +523,8 @@ def test_free_subarrangement_exponents_must_match_roots(monkeypatch, criterion, 
         if len(B) == len(A) or not cert.is_free:
             return cert
         d1, d2 = cert.exponents
-        return dataclasses.replace(cert, exponents=(d1 - 1, d2 + 1))
+        skew = (d1 - 1, d2 + 1)
+        return FreenessCertificate(cert.verdict, skew, cert.b2, cert.d1, cert.d2, cert.target)
 
     monkeypatch.setattr(freeness, "decide_free", skewed)
     with pytest.raises(InvariantViolation, match="must match its roots"):
