@@ -17,7 +17,7 @@ defaults, then __post_init__ if defined), __eq__ (same class, equal
 field tuples), __hash__ of the field tuple, a Name(field=value) __repr__
 and a pickling __reduce__; setting or deleting attributes raises. It
 does what dataclass(frozen=True, slots=True) did, without importing
-dataclasses, which costs the CLI about half its start-up.
+dataclasses, which took about half the time of importing the CLI.
 
 _kernel_rows is the one kernel construction: it takes plain rows of
 field scalars and returns the reduced row echelon form of the standard

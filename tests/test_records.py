@@ -13,7 +13,7 @@ import pytest
 
 from linarr.arrangement import CharPoly, IncidencePoint, Line, RootPair, Surd
 from linarr.derivations import AT_INFINITY, Exponents, HomDerivation
-from linarr.exactalg import Field
+from linarr.exactalg import Field, record
 from linarr.fqscan import FiniteBoundsReport, LineSpectrum
 from linarr.freeness import (
     CriterionEntry,
@@ -120,8 +120,8 @@ CASES = {
 params = pytest.mark.parametrize("name", sorted(CASES))
 
 
-def _fields(record):
-    return tuple(getattr(record, name) for name in type(record).__slots__)
+def _fields(rec):
+    return tuple(getattr(rec, name) for name in type(rec).__slots__)
 
 
 @params
@@ -138,54 +138,47 @@ def test_equal_records_hash_equal(name):
 
 
 @params
-def test_record_equals_no_tuple_and_no_other_class(name):
-    record = CASES[name][0]()
-    fields = _fields(record)
-    assert record != fields and fields != record
-    look_alike = type(name + "Alike", (), {"__slots__": ()})
-    assert record != look_alike()
-    other = next(make() for key, (make, _, _) in CASES.items() if key != name)
-    assert record != other
-
-
-def test_records_of_two_classes_with_equal_fields_differ():
-    assert CharPoly(1, 2) != RootWindowReport(1, 2, 3, True)
-    assert Line(1, 2, 3) != Line(1, 2, 4)
-    assert Line(1, 2, 3) != (1, 2, 3)
-    assert Line(1, 2, 3) != IncidencePoint(1, 2, 3)
-    assert len({Line(1, 2, 3), Line(1, 2, 3), IncidencePoint(1, 2, 3)}) == 2
+def test_recequals_no_tuple_and_no_other_class(name):
+    rec = CASES[name][0]()
+    fields = _fields(rec)
+    assert rec != fields and fields != rec
+    # same name, same fields, same values, another class
+    twin = record(type(name, (), {"__annotations__": dict.fromkeys(type(rec).__slots__)}))
+    assert twin(*fields) != rec and rec != twin(*fields)
+    if CASES[name][2]:
+        assert len({rec, twin(*fields)}) == 2
 
 
 @params
 def test_records_are_frozen(name):
-    record = CASES[name][0]()
-    field = type(record).__slots__[0]
-    before = getattr(record, field)
+    rec = CASES[name][0]()
+    field = type(rec).__slots__[0]
+    before = getattr(rec, field)
     with pytest.raises(AttributeError):
-        setattr(record, field, before)
+        setattr(rec, field, before)
     with pytest.raises(AttributeError):
-        delattr(record, field)
+        delattr(rec, field)
     with pytest.raises(AttributeError):
-        record.extra = 1
-    assert getattr(record, field) is before
+        rec.extra = 1
+    assert getattr(rec, field) is before
 
 
 @params
-def test_record_repr_is_pinned(name):
+def test_recrepr_is_pinned(name):
     make, shown, _ = CASES[name]
     assert repr(make()) == shown
 
 
 @params
 def test_records_round_trip_pickle_and_copy(name):
-    record = CASES[name][0]()
-    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
-        assert type(clone) is type(record)
-        assert clone == record
-        assert repr(clone) == repr(record)
+    rec = CASES[name][0]()
+    for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(clone) is type(rec)
+        assert clone == rec
+        assert repr(clone) == repr(rec)
 
 
-def test_record_defaults_and_post_init():
+def test_recdefaults_and_post_init():
     assert Field("rationals") == Field.rationals()
     assert FiniteBoundsReport(False, 5, 6, None, ()).reason is None
     with pytest.raises(TypeError):
