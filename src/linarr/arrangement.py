@@ -3,16 +3,16 @@
 A line is the zero set of a*x + b*y + c with (a, b) != (0, 0), stored
 with its first nonzero coefficient normalized to 1 so that equal lines
 compare equal. An Arrangement is an ordered tuple of distinct lines
-plus eagerly built caches: the intersection points (with the incident
+plus caches: the intersection lattice (point keys with the incident
 line indices at each), the parallel classes, and the per-line counts
 n_H = number of distinct points in which the other members meet H.
 
 The caches are built from integer keys (see exactalg for their form).
 Each member is keyed once, and two members meet in the key of their
-point, so points are deduplicated without field arithmetic and the
-field scalars of an IncidencePoint are built once per distinct point,
-not once per pair. count_on_line uses the same keys; order_increasing
-updates its counts incrementally.
+point, so points are deduplicated without field arithmetic. Every
+count the library reads is combinatorial, so no field scalar of a
+point is built until .points is first read. count_on_line uses the
+same keys; order_increasing updates its counts incrementally.
 
 The characteristic polynomial is always t^2 - n*t + b2 with
 b2 = sum over points of (multiplicity - 1), so it lives in Z[t] no
@@ -265,13 +265,15 @@ class RootPair:
 
 
 class Arrangement:
-    """Ordered distinct lines over one field, with eager incidence caches."""
+    """Ordered distinct lines over one field, with incidence caches."""
 
     __slots__ = (
         "field",
         "lines",
         "_index",
         "_keys",
+        "_point_keys",
+        "_incidence",
         "_points",
         "_points_on",
         "_classes",
@@ -312,22 +314,20 @@ class Arrangement:
                 key = join(ki, keys[j], 2, param)
                 if key is not None:
                     by_key.setdefault(key, set()).update((i, j))
-        points = tuple(
-            IncidencePoint(x, y, frozenset(incident))
-            for (x, y), incident in zip(_key_scalars(by_key, 2, one), by_key.values())
-        )
+        incidence = tuple(map(frozenset, by_key.values()))
         points_on: list[list[int]] = [[] for _ in range(n)]
-        for k, pt in enumerate(points):
-            for i in pt.incident:
+        for k, incident in enumerate(incidence):
+            for i in incident:
                 points_on[i].append(k)
         classes: dict[tuple, list[int]] = {}
         for i, line in enumerate(lines):
             classes.setdefault(line.direction, []).append(i)
         n_counts = tuple(map(len, points_on))
         # a point of multiplicity m lies on m members and adds m - 1 to b2
-        b2 = sum(n_counts) - len(points)
+        b2 = sum(n_counts) - len(incidence)
         object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_point_keys", tuple(by_key))
+        object.__setattr__(self, "_incidence", incidence)
         object.__setattr__(
             self, "_points_on", tuple(tuple(ks) for ks in points_on)
         )
@@ -365,7 +365,14 @@ class Arrangement:
 
     @property
     def points(self) -> tuple[IncidencePoint, ...]:
-        return self._points
+        """IncidencePoints in lattice scan order, built on the first read."""
+        try:
+            return self._points
+        except AttributeError:
+            scalars = _key_scalars(self._point_keys, 2, self.field.one)
+            points = tuple(map(IncidencePoint, *zip(*scalars), self._incidence))
+            object.__setattr__(self, "_points", points)
+            return points
 
     @property
     def parallel_classes(self) -> tuple:
@@ -452,8 +459,8 @@ class Arrangement:
         """CharPoly of the subarrangement, computed from the cached lattice."""
         idx = set(self._validate_subset(indices))
         b2 = 0
-        for pt in self._points:
-            m = len(pt.incident & idx)
+        for incident in self._incidence:
+            m = len(incident & idx)
             if m > 1:
                 b2 += m - 1
         return CharPoly(len(idx), b2)
@@ -474,9 +481,9 @@ class Arrangement:
         through those points gain one.
         """
         base = set(self._validate_subset(sub_indices))
-        points, points_on = self._points, self._points_on
+        incidence, points_on = self._incidence, self._points_on
         n = len(self.lines)
-        touched = [bool(pt.incident & base) for pt in points]
+        touched = [bool(incident & base) for incident in incidence]
         counts = [sum(touched[k] for k in points_on[i]) for i in range(n)]
         remaining = [i for i in range(n) if i not in base]
         order: list[int] = []
@@ -490,7 +497,7 @@ class Arrangement:
             for k in points_on[best]:
                 if not touched[k]:
                     touched[k] = True
-                    for j in points[k].incident:
+                    for j in incidence[k]:
                         counts[j] += 1
         return tuple(order), tuple(steps)
 
@@ -505,11 +512,13 @@ def _tokens_with_columns(line: str):
 
 
 def _header_int(token: str) -> int:
+    """An integer in the scalar grammar, which int() alone would widen."""
+    if not _RE_INT.match(token):
+        raise PreconditionError(f"{_shown(token)}: not an integer")
     try:
         return int(token)
-    except ValueError:  # not an integer, or past the int-string digit limit
-        detail = "too many digits" if _RE_INT.match(token) else "not an integer"
-        raise PreconditionError(f"{_shown(token)}: {detail}") from None
+    except ValueError:  # past the int-string digit limit
+        raise PreconditionError(f"{_shown(token)}: too many digits") from None
 
 
 def _parse_field_header(tokens, lineno, path) -> Field:

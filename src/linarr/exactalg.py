@@ -146,6 +146,9 @@ class Quad:
     def __setattr__(self, name, value):
         raise AttributeError("Quad is immutable")
 
+    def __reduce__(self):
+        return Quad, (self.u, self.v, self.d)
+
     def _lift(self, other):
         if isinstance(other, Quad):
             if other.d != self.d:
@@ -254,6 +257,9 @@ class Mod:
 
     def __setattr__(self, name, value):
         raise AttributeError("Mod is immutable")
+
+    def __reduce__(self):
+        return Mod, (self.value, self.p)
 
     def _lift(self, other):
         if isinstance(other, Mod):

@@ -598,7 +598,7 @@ def external_candidates(A: Arrangement) -> tuple:
         if k not in members and k not in found:
             found[k] = None
 
-    pts = [_key((p.x, p.y, one), one) for p in A.points]
+    pts = A._point_keys
     for p, q in combinations(pts, 2):
         offer(join(p, q, 0, param))
 
@@ -698,7 +698,7 @@ def candidate_subarrangements(A: Arrangement) -> tuple:
             out.append(tuple(sorted(idx)))
 
     pencils = sorted(
-        (tuple(sorted(p.incident)) for p in A.points),
+        (tuple(sorted(incident)) for incident in A._incidence),
         key=lambda t: (-len(t), t),
     )
     for idx in pencils:

@@ -14,6 +14,7 @@ from helpers import (
     reference_order_increasing,
     reference_points,
 )
+from linarr import arrangement, freeness
 from linarr.arrangement import (
     COMPLEX_CONJUGATE,
     REAL_IRRATIONAL,
@@ -32,7 +33,7 @@ from linarr.arrangement import (
 )
 from linarr.derivations import parse_multiarrangement
 from linarr.errors import MembershipError, ParseError, PreconditionError
-from linarr.exactalg import PRIMALITY_CAP, SQUAREFREE_CAP, Field, Quad
+from linarr.exactalg import PRIMALITY_CAP, SQUAREFREE_CAP, Field, Quad, _key, _key_scalars
 from linarr.fixtures import (
     f3_all,
     pencil,
@@ -40,6 +41,7 @@ from linarr.fixtures import (
     star7_transversal_q,
     star7_transversal_sqrt2,
 )
+from linarr.freeness import run_criteria, verify_root_window
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -451,6 +453,10 @@ def assert_same_lattice(arr, probes=(), bases=((),)):
         for g, w in ((got.x, want.x), (got.y, want.y)):
             assert type(g) is type(w) and g == w
         assert got.incident == want.incident
+    # external_candidates joins the point keys as they are: each must be
+    # the key of its point
+    one = arr.field.one
+    assert arr._point_keys == tuple(_key((pt.x, pt.y, one), one) for pt in arr.points)
     assert arr.n_counts == tuple(
         sum(1 for pt in expected if i in pt.incident) for i in range(len(lines))
     )
@@ -500,6 +506,39 @@ def test_lattice_matches_reference_on_tie_heavy_shapes(field, extra_parallels):
     bases += [tuple(random_subset(rng, n)) for _ in range(6)]
     probes = [normalize_line(field, field.one, field.one, field.from_int(k)) for k in range(4)]
     assert_same_lattice(arr, probes, bases)
+
+
+@pytest.fixture
+def point_scalar_calls(monkeypatch):
+    """Sizes of the _key_scalars calls on point keys (head 2), in either
+    module that imports it; line keys (head 0) are not counted."""
+    calls = []
+
+    def spy(keys, head, one):
+        if head:
+            calls.append(len(keys))
+        return _key_scalars(keys, head, one)
+
+    for module in (arrangement, freeness):
+        monkeypatch.setattr(module, "_key_scalars", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [squares_diagonals, star7_transversal_sqrt2, f3_all, lambda: pencil_with_parallels(F5, (1, 2), 1)],
+    ids=["Q", "Qsqrt2", "F3", "F5"],
+)
+def test_point_scalars_are_built_on_first_read(point_scalar_calls, make):
+    arr = make()
+    run_criteria(arr)
+    verify_root_window(arr)
+    arr.order_increasing(())
+    arr.sub_char_poly((0, 1))
+    assert point_scalar_calls == []
+    points = arr.points
+    assert point_scalar_calls == [len(points)] and len(points) > 1
+    assert arr.points is points and point_scalar_calls == [len(points)]
 
 
 def test_lattice_matches_reference_on_grids_and_fixtures():
@@ -595,6 +634,15 @@ def test_parse_errors_report_position():
 
     err = parse_error("field Q\nline 1 r 0\n")
     assert err.line == 2 and err.column == 8
+
+
+def test_field_headers_use_the_scalar_grammar():
+    # int() alone accepts underscores between digits
+    for header in ("field F 1_009", "field Q sqrt 1_3", "field F 5.0"):
+        err = parse_error(f"{header}\nline 1 0 0\n")
+        assert (err.line, err.column) == (1, 1) and "not an integer" in err.message
+    assert "bad residue" in parse_error("field F 5\nline 1_0 1 0\n").message
+    assert parse_arrangement("field F +1009\n").field == Field.prime(1009)
 
 
 def test_overlong_numbers_are_parse_errors():

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from linarr.arrangement import CharPoly, IncidencePoint, Line, RootPair, Surd
+from linarr.arrangement import CharPoly, IncidencePoint, Line, RootPair, Surd, normalize_line
 from linarr.derivations import AT_INFINITY, Exponents, HomDerivation
-from linarr.exactalg import Field, record
+from linarr.exactalg import Field, Quad, record
 from linarr.fqscan import FiniteBoundsReport, LineSpectrum
 from linarr.freeness import (
     CriterionEntry,
@@ -119,6 +119,14 @@ CASES = {
 
 params = pytest.mark.parametrize("name", sorted(CASES))
 
+# records over F_5 and Q(sqrt 2) hold Mod and Quad scalars, which must
+# survive pickle and copy as well
+R2 = Field.quadratic(2)
+OTHER_FIELDS = {
+    "HomDerivation-F5": lambda: HomDerivation(Field.prime(5), (2, 0, 4), (1, 3, 0)),
+    "Line-Qsqrt2": lambda: normalize_line(R2, 1, Quad(0, 1, 2), Quad(Fraction(1, 2), -3, 2)),
+}
+
 
 def _fields(rec):
     return tuple(getattr(rec, name) for name in type(rec).__slots__)
@@ -169,9 +177,9 @@ def test_recrepr_is_pinned(name):
     assert repr(make()) == shown
 
 
-@params
+@pytest.mark.parametrize("name", sorted(CASES) + list(OTHER_FIELDS))
 def test_records_round_trip_pickle_and_copy(name):
-    rec = CASES[name][0]()
+    rec = CASES[name][0]() if name in CASES else OTHER_FIELDS[name]()
     for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
         assert type(clone) is type(rec)
         assert clone == rec
