@@ -37,6 +37,7 @@ from .exactalg import (
     RATIONALS,
     _RE_INT,
     Field,
+    _Frozen,
     _key,
     _key_scalars,
     _shown,
@@ -264,9 +265,10 @@ class RootPair:
         return (d > 0) - (d < 0)
 
 
-class Arrangement:
+class Arrangement(_Frozen):
     """Ordered distinct lines over one field, with incidence caches."""
 
+    _args = ("field", "lines")
     __slots__ = (
         "field",
         "lines",
@@ -298,9 +300,6 @@ class Arrangement:
         object.__setattr__(self, "lines", tuple(index))
         object.__setattr__(self, "_index", index)
         self._build_caches()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Arrangement is immutable")
 
     def _build_caches(self):
         field, lines = self.field, self.lines
@@ -395,10 +394,6 @@ class Arrangement:
 
     def __contains__(self, line: Line) -> bool:
         return line in self._index
-
-    def points_on(self, i: int) -> tuple[int, ...]:
-        """Indices into .points of the intersection points lying on member i."""
-        return self._points_on[i]
 
     # -------------------------------------------------------- counting
 

@@ -60,16 +60,9 @@ def _target_label(target):
     return "infinity" if target == AT_INFINITY else int(target)
 
 
-def _load_arr(path: str) -> Arrangement:
+def _load_arr(path: str, load=load_arrangement):
     try:
-        return load_arrangement(path)
-    except OSError as exc:
-        raise PreconditionError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _load_marr(path: str):
-    try:
-        return load_multiarrangement(path)
+        return load(path)
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc.strerror or exc}") from None
 
@@ -118,7 +111,7 @@ def _cmd_ziegler(args):
 
 def _cmd_exponents(args):
     if args.file.endswith(".marr"):
-        M = _load_marr(args.file)
+        M = _load_arr(args.file, load_multiarrangement)
         record = {"d1": None, "d2": None, "size": M.size}
     else:
         M = ziegler_restriction(_load_arr(args.file), args.target)
@@ -210,20 +203,16 @@ def _cmd_fq_spectrum(args):
 # ----------------------------------------------------------------- verify
 
 
-def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME_CAP):
+def run_verify(A: Arrangement, corrupt_b2: int = 0):
     """Every invariant the library can assert against one arrangement.
 
     Returns the list of check names that passed; raises
     InvariantViolation on the first failure. corrupt_b2 shifts the
     claimed b2 before validation, so any nonzero value must be caught
     (the empty arrangement by the range check, everything else by the
-    deletion-restriction identity). A plane_cap above PLANE_PRIME_CAP is
-    rejected before any check runs: the plane scans stop at that cap.
+    deletion-restriction identity). The plane scans run over prime
+    fields up to PLANE_PRIME_CAP.
     """
-    if plane_cap > PLANE_PRIME_CAP:
-        raise PreconditionError(
-            f"plane cap {plane_cap} exceeds the enumeration cap {PLANE_PRIME_CAP}"
-        )
     checks = []
     n = len(A)
     chi = A.char_poly()
@@ -268,7 +257,7 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
     window = verify_root_window(A, externals)
     checks.append("root-window")
 
-    if A.field.kind == PRIME and A.field.p <= plane_cap:
+    if A.field.kind == PRIME and A.field.p <= PLANE_PRIME_CAP:
         from . import fqscan
 
         p = A.field.p
@@ -305,7 +294,7 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0, plane_cap: int = PLANE_PRIME
 
 def _cmd_verify(args):
     A = _load_arr(args.file)
-    checks = run_verify(A, corrupt_b2=args.corrupt_b2, plane_cap=args.plane_cap)
+    checks = run_verify(A, corrupt_b2=args.corrupt_b2)
     records = [{"check": name, "status": "ok"} for name in checks]
     records.append({"verify": "ok", "checks": len(checks)})
     lines = [f"ok {name}" for name in checks]
@@ -395,14 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="DELTA",
         help="shift the claimed b2 before checking (mutation testing)",
-    )
-    verify.add_argument(
-        "--plane-cap",
-        type=int,
-        default=PLANE_PRIME_CAP,
-        metavar="P",
-        help="largest prime for which the finite-plane checks run "
-        f"(at most {PLANE_PRIME_CAP})",
     )
     return parser
 

@@ -40,6 +40,7 @@ from .arrangement import (
 from .errors import InvariantViolation, ParseError, PreconditionError
 from .exactalg import (
     Field,
+    _Frozen,
     _kernel_rows,
     _lift_parts,
     _lifted_mul,
@@ -188,14 +189,14 @@ def format_poly(field: Field, coeffs: tuple) -> str:
     return out
 
 
-class Multiarrangement:
+class Multiarrangement(_Frozen):
     """Distinct central lines with positive multiplicities, in input order.
 
     Equality and hashing use set semantics so that logically equal
     multiarrangements built in different orders share cache entries.
     """
 
-    __slots__ = ("field", "centrals", "mults")
+    __slots__ = _args = ("field", "centrals", "mults")
 
     def __init__(self, field: Field, centrals, mults):
         centrals = tuple(
@@ -211,9 +212,6 @@ class Multiarrangement:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "centrals", centrals)
         object.__setattr__(self, "mults", mults)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multiarrangement is immutable")
 
     @classmethod
     def from_pairs(cls, field: Field, weighted) -> "Multiarrangement":

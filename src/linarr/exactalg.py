@@ -11,13 +11,20 @@ A Field value describes which representation a computation uses and
 provides coercion, parsing, and formatting. All arithmetic is
 arbitrary precision; nothing here ever rounds.
 
-Field and the library's other value classes are records: @record
-rebuilds an annotated class with __slots__ and generated __init__ (its
+Every value type of the library derives from _Frozen: setting or
+deleting an attribute raises, and __reduce__ rebuilds the value as
+type(self)(*args) from the attributes its _args names, so values pickle
+and copy. Quad and Mod derive from _Scalar(_Frozen), which adds
+division and square-and-multiply powers on top of each class's own
+_lift, +, -, * and inverse. Arrangement, Multiarrangement and
+PlaneEnumeration are written by hand on _Frozen; Field and the other
+value classes are records: @record rebuilds an annotated class on
+_Frozen with __slots__ and _args its fields and generated __init__ (its
 defaults, then __post_init__ if defined), __eq__ (same class, equal
-field tuples), __hash__ of the field tuple, a Name(field=value) __repr__
-and a pickling __reduce__; setting or deleting attributes raises. It
-does what dataclass(frozen=True, slots=True) did, without importing
-dataclasses, which took about half the time of importing the CLI.
+field tuples), __hash__ of the field tuple and a Name(field=value)
+__repr__. It does what dataclass(frozen=True, slots=True) did, without
+importing dataclasses, which took about half the time of importing the
+CLI.
 
 _kernel_rows is the one kernel construction: it takes plain rows of
 field scalars and returns the reduced row echelon form of the standard
@@ -127,7 +134,51 @@ def squarefree_decomposition(m: int) -> tuple[int, int]:
     return f, m
 
 
-class Quad:
+class _Frozen:
+    """Base of every value type: no attribute set or deleted after
+    __init__, and pickled and copied as type(self)(*its _args)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._args)
+
+
+class _Scalar(_Frozen):
+    """Division and powers from each field's _lift, *, and inverse."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out, base = self._lift(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+class Quad(_Scalar):
     """u + v*sqrt(d) with rational u, v and a fixed squarefree d.
 
     Mixing values with different d raises; mixing with int or Fraction
@@ -136,18 +187,12 @@ class Quad:
     nonzero value is invertible.
     """
 
-    __slots__ = ("u", "v", "d")
+    __slots__ = _args = ("u", "v", "d")
 
     def __init__(self, u, v, d: int):
         object.__setattr__(self, "u", Fraction(u))
         object.__setattr__(self, "v", Fraction(v))
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quad is immutable")
-
-    def __reduce__(self):
-        return Quad, (self.u, self.v, self.d)
 
     def _lift(self, other):
         if isinstance(other, Quad):
@@ -200,30 +245,6 @@ class Quad:
             raise ZeroDivisionError("division by zero in quadratic field")
         return Quad(self.u / norm, -self.v / norm, self.d)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Quad(1, 0, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __neg__(self):
         return Quad(-self.u, -self.v, self.d)
 
@@ -246,20 +267,14 @@ class Quad:
         return f"Quad({self.u}, {self.v}, d={self.d})"
 
 
-class Mod:
+class Mod(_Scalar):
     """Residue in the prime field F_p, stored reduced into [0, p)."""
 
-    __slots__ = ("value", "p")
+    __slots__ = _args = ("value", "p")
 
     def __init__(self, value: int, p: int):
         object.__setattr__(self, "value", int(value) % p)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mod is immutable")
-
-    def __reduce__(self):
-        return Mod, (self.value, self.p)
 
     def _lift(self, other):
         if isinstance(other, Mod):
@@ -305,23 +320,6 @@ class Mod:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return Mod(pow(self.value, -1, self.p), self.p)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Mod(pow(self.value, n, self.p), self.p)
-
     def __neg__(self):
         return Mod(-self.value, self.p)
 
@@ -340,10 +338,11 @@ class Mod:
         return f"Mod({self.value}, p={self.p})"
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+# ASCII digits only: \d would also match every other Unicode digit
+_RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
 _RE_RAT = re.compile(rf"{_RAT}\Z")
-_RE_INT = re.compile(r"[+-]?\d+\Z")
-_RE_QUAD_FULL = re.compile(rf"(?P<u>{_RAT})(?P<sign>[+-])(?P<v>(?:\d+(?:/\d+)?)?)r\Z")
+_RE_INT = re.compile(r"[+-]?[0-9]+\Z")
+_RE_QUAD_FULL = re.compile(rf"(?P<u>{_RAT})(?P<sign>[+-])(?P<v>(?:[0-9]+(?:/[0-9]+)?)?)r\Z")
 _RE_QUAD_PURE = re.compile(rf"(?P<v>{_RAT}|[+-]?)r\Z")
 
 
@@ -370,10 +369,6 @@ def _fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational {_shown(text)}: too many digits") from None
 
 
-def _frozen(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
 def record(cls):
     """cls rebuilt as a frozen record of its annotated fields; see the module docstring."""
     names = tuple(cls.__annotations__)
@@ -386,12 +381,12 @@ def record(cls):
         "def __eq__(self, other):",
         f"    return ({own}) == ({other}) if other.__class__ is self.__class__ else NotImplemented",
         f"def __hash__(self): return hash(({own}))",
-        f"def __reduce__(self): return (self.__class__, ({own}))",
         f"def __repr__(self): return f'{cls.__qualname__}({shown})'",
     ]
     exec("\n".join(source), {"_D": vars(cls), "_set": object.__setattr__}, body)
-    body.update(__slots__=names, __qualname__=cls.__qualname__, __setattr__=_frozen, __delattr__=_frozen)
-    return type(cls)(cls.__name__, cls.__bases__, body)
+    body.update(__slots__=names, _args=names, __qualname__=cls.__qualname__)
+    bases = tuple(b for b in cls.__bases__ if b is not object) + (_Frozen,)
+    return type(cls)(cls.__name__, bases, body)
 
 
 @record

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .arrangement import Arrangement, Line
 from .derivations import HomDerivation, Multiarrangement, exponents, is_member
 from .errors import InvariantViolation, PreconditionError
-from .exactalg import PRIME, Field, is_prime, record
+from .exactalg import PRIME, Field, _Frozen, is_prime, record
 from .freeness import (
     FREE,
     NOT_FREE,
@@ -75,7 +75,7 @@ def _plane_tables(p: int):
     return field, points, lines, line_ids, tuple(on_line), tuple(map(tuple, through))
 
 
-class PlaneEnumeration:
+class PlaneEnumeration(_Frozen):
     """All points and normalized lines of the affine plane over F_p.
 
     Construction verifies the incidence counts once per prime: p^2 + p
@@ -86,6 +86,7 @@ class PlaneEnumeration:
     """
 
     __slots__ = ("p", "field", "points", "lines", "line_ids", "on_line", "through")
+    _args = ("p",)
 
     def __init__(self, p: int):
         p = int(p)
@@ -97,9 +98,6 @@ class PlaneEnumeration:
             raise PreconditionError(f"prime {p} exceeds the enumeration cap {PLANE_PRIME_CAP}")
         for name, value in zip(self.__slots__, (p, *_plane_tables(p))):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneEnumeration is immutable")
 
     def points_on(self, line: Line) -> tuple:
         return tuple(self.points[k] for k in self.on_line[self.line_ids[line]])

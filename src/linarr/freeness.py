@@ -35,7 +35,6 @@ from .arrangement import (
     TWO_INTEGER,
     Arrangement,
     Line,
-    normalize_direction,
 )
 from .derivations import AT_INFINITY, CACHE_SIZE, exponents, ziegler_restriction
 from .errors import InvariantViolation, MembershipError, PreconditionError
@@ -552,23 +551,14 @@ def _fresh_direction(A: Arrangement):
     (1,1), (1,2), ...; None when the field has no direction left."""
     field = A.field
     used = {line.direction for line in A.lines}
-    # a prime field has exactly p+1 directions; elsewhere the stream is
-    # injective, so len(used)+2 distinct candidates always suffice
-    limit = field.p + 1 if field.kind == PRIME else len(used) + 2
-    stream = _direction_stream(field)
-    for _ in range(limit):
-        d = normalize_direction(field, *next(stream))
-        if d not in used:
-            return d
-    return None
-
-
-def _direction_stream(field):
-    yield field.zero, field.one
-    k = 0
-    while True:
-        yield field.one, field.from_int(k)
-        k += 1
+    # the candidates are normalized and distinct, so len(used) + 1 of them
+    # hold a fresh one, unless a prime field's p + 1 directions run out
+    count = len(used) + 1
+    if field.kind == PRIME:
+        count = min(count, field.p + 1)
+    one = field.one
+    candidates = [(field.zero, one)] + [(one, field.from_int(k)) for k in range(count - 1)]
+    return next((d for d in candidates if d not in used), None)
 
 
 def external_candidates(A: Arrangement) -> tuple:

@@ -637,12 +637,35 @@ def test_parse_errors_report_position():
 
 
 def test_field_headers_use_the_scalar_grammar():
-    # int() alone accepts underscores between digits
-    for header in ("field F 1_009", "field Q sqrt 1_3", "field F 5.0"):
+    # int() alone accepts underscores between digits and, like regex \d,
+    # every Unicode decimal digit: ٣ is the Arabic-Indic three
+    for header in ("field F 1_009", "field Q sqrt 1_3", "field F 5.0", "field F ٣"):
         err = parse_error(f"{header}\nline 1 0 0\n")
         assert (err.line, err.column) == (1, 1) and "not an integer" in err.message
-    assert "bad residue" in parse_error("field F 5\nline 1_0 1 0\n").message
+    for text, column, message in (
+        ("field F 5\nline 1_0 1 0\n", 6, "bad residue '1_0'"),
+        ("field F 5\nline ٣ 1 0\n", 6, "bad residue '٣'"),
+        ("field Q\nline ٣/2 1 0\n", 6, "bad rational '٣/2'"),
+        ("field Q sqrt 2\nline 1 1+٣r 0\n", 8, "bad quadratic scalar '1+٣r'"),
+    ):
+        err = parse_error(text)
+        assert (err.line, err.column, err.message) == (2, column, message)
     assert parse_arrangement("field F +1009\n").field == Field.prime(1009)
+
+
+_NON_ASCII_DIGIT = st.characters(categories=["Nd"]).filter(lambda c: not c.isascii())
+_SCALAR_TEXT = st.text("0123456789+-/r", max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCALAR_TEXT, _NON_ASCII_DIGIT, _SCALAR_TEXT)
+def test_non_ascii_digits_are_refused(head, digit, tail):
+    token = head + digit + tail
+    for field in (Field.rationals(), Field.quadratic(2), Field.prime(5)):
+        with pytest.raises(ParseError):
+            field.parse_scalar(token)
+    for header in (f"field F {token}", f"field Q sqrt {token}"):
+        assert parse_error(f"{header}\n").line == 1
 
 
 def test_overlong_numbers_are_parse_errors():

@@ -231,9 +231,14 @@ def test_verify_every_shipped_arrangement(capsys):
         assert out[-1].startswith("verify: OK (")
 
 
-def test_verify_check_lists(capsys):
+def test_verify_check_lists(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", path("squares_diagonals.arr"))
     assert out[-1] == "verify: OK (7 checks)"
+    # the plane checks stop at F_13
+    f17 = tmp_path / "f17.arr"
+    f17.write_text("field F 17\nline 1 0 0\nline 0 1 0\nline 1 1 1\n")
+    rc, out, _ = run(capsys, "verify", str(f17))
+    assert rc == 0 and out[-1] == "verify: OK (7 checks)"
     rc, out, _ = run(capsys, "verify", path("f3_all.arr"))
     assert out[-1] == "verify: OK (11 checks)"
     assert "ok complement-count" in out
@@ -241,24 +246,6 @@ def test_verify_check_lists(capsys):
     rc, records, _ = run_json(capsys, "verify", path("f3_all.arr"))
     assert records[-1] == {"verify": "ok", "checks": 11}
     assert {"check": "order-criteria", "status": "ok"} in records
-
-
-def test_verify_plane_cap_skips_enumeration(capsys):
-    rc, out, _ = run(capsys, "verify", path("f3_three.arr"), "--plane-cap", "2")
-    assert rc == 0
-    assert out[-1] == "verify: OK (7 checks)"
-
-
-def test_verify_rejects_plane_cap_above_enumeration_cap(tmp_path, capsys):
-    f17 = tmp_path / "f17.arr"
-    f17.write_text("field F 17\nline 1 0 0\nline 0 1 0\nline 1 1 1\n")
-    rc, _, _ = run(capsys, "verify", str(f17))
-    assert rc == 0
-    for target, cap in ((str(f17), "17"), (path("f3_three.arr"), "14")):
-        rc, out, err = run(capsys, "verify", target, "--plane-cap", cap)
-        assert rc == 1
-        assert not out
-        assert err == f"error: plane cap {cap} exceeds the enumeration cap 13\n"
 
 
 @pytest.mark.parametrize("delta", ["1", "-1", "5", "-35"])
