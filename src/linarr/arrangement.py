@@ -18,7 +18,9 @@ The characteristic polynomial is always t^2 - n*t + b2 with
 b2 = sum over points of (multiplicity - 1), so it lives in Z[t] no
 matter which coefficient field the lines use. Root pairs are classified
 exactly: two integers, an irrational conjugate pair u +- v*sqrt(rad),
-or a complex conjugate pair (rad < 0).
+or a complex conjugate pair (rad < 0). Real roots are compared with a
+rational q through the signs of chi(q) and n - 2q, and their gap with
+an integer k through the sign of discriminant - k^2, in every class.
 
 Everything is immutable; delete and add build fresh arrangements and
 rebuild caches.
@@ -148,31 +150,6 @@ class Surd:
     v: Fraction
     rad: int
 
-    @property
-    def is_real(self) -> bool:
-        return self.rad > 0
-
-    def cmp_rational(self, q) -> int:
-        """Sign of self - q for rational q; only for real surds."""
-        if not self.is_real:
-            raise PreconditionError("cannot order a complex surd")
-        c = self.u - Fraction(q)
-        v = self.v
-        if v == 0:
-            return (c > 0) - (c < 0)
-        if c == 0:
-            return 1 if v > 0 else -1
-        if c > 0 and v > 0:
-            return 1
-        if c < 0 and v < 0:
-            return -1
-        # opposite signs: compare c*c against v*v*rad, sign of the larger wins
-        lhs, rhs = c * c, v * v * self.rad
-        if lhs == rhs:
-            # would force sqrt(rad) rational, impossible for squarefree rad > 1
-            raise InvariantViolation(f"surd {self} equals rational {q}")
-        return 1 if (c > 0) == (lhs > rhs) else -1
-
     def __str__(self):
         if self.v == 0:
             return str(self.u)
@@ -236,32 +213,38 @@ class RootPair:
 
     def cmp_low(self, q) -> int:
         """Sign of (low root) - q; roots must be real."""
-        return self._cmp_root(self.low, q)
+        return self._cmp_root(q, -1)
 
     def cmp_high(self, q) -> int:
         """Sign of (high root) - q; roots must be real."""
-        return self._cmp_root(self.high, q)
+        return self._cmp_root(q, 1)
 
-    def _cmp_root(self, root, q) -> int:
-        if self.classification == COMPLEX_CONJUGATE:
+    def _cmp_root(self, q, side: int) -> int:
+        """Sign of the low (side -1) or high (side 1) root minus q.
+
+        chi(q) < 0 puts q strictly between the roots, chi(q) = 0 makes q
+        a root (the low one when 2q <= n), and chi(q) > 0 puts both roots
+        on the side of n/2 that q is not on.
+        """
+        if self.discriminant < 0:
             raise PreconditionError("complex roots cannot be ordered")
-        if self.classification == TWO_INTEGER:
-            d = Fraction(root) - Fraction(q)
-            return (d > 0) - (d < 0)
-        return root.cmp_rational(q)
+        a, b = Fraction(q).as_integer_ratio()
+        # chi(q) and n/2 - q, scaled by the positive b*b and 2*b
+        chi = a * a - self.n * a * b + self.b2 * b * b
+        if chi < 0:
+            return side
+        mid = self.n * b - 2 * a
+        s = (mid > 0) - (mid < 0)
+        return s if chi > 0 or s == side else 0
 
     def gap_cmp(self, k: int) -> int:
         """Sign of (high - low) - k for real roots and k >= 0."""
-        if self.classification == COMPLEX_CONJUGATE:
+        if self.discriminant < 0:
             raise PreconditionError("complex roots have no real gap")
         if k < 0:
             raise PreconditionError("gap comparisons need k >= 0")
-        if self.classification == TWO_INTEGER:
-            d = self.high - self.low - k
-            return (d > 0) - (d < 0)
-        # gap = 2*v*sqrt(rad) with v > 0; compare squares exactly
-        g2 = 4 * self.high.v * self.high.v * self.high.rad
-        d = g2 - k * k
+        # (high - low)^2 is the discriminant
+        d = self.discriminant - k * k
         return (d > 0) - (d < 0)
 
 

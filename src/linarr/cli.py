@@ -34,7 +34,7 @@ from .derivations import (
     ziegler_restriction,
 )
 from .errors import InvariantViolation, LinarrError, ParseError, PreconditionError
-from .exactalg import PRIME
+from .exactalg import PRIME, _RE_INT, _shown
 from .freeness import (
     PLANE_PRIME_CAP,
     decide_free,
@@ -45,15 +45,22 @@ from .freeness import (
 )
 
 
+def _integer(text: str) -> int:
+    """An integer argument in the file grammar's ASCII digits."""
+    if _RE_INT.match(text):
+        try:
+            return int(text)
+        except ValueError:  # past the int-string digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
+
+
 def _parse_target(text: str):
     if text == "infinity":
         return AT_INFINITY
     if text.startswith("member:"):
-        try:
-            return int(text.split(":", 1)[1])
-        except ValueError:
-            pass
-    raise PreconditionError("target must be 'infinity' or 'member:<index>'")
+        return _integer(text.removeprefix("member:"))
+    raise argparse.ArgumentTypeError("target must be 'infinity' or 'member:<index>'")
 
 
 def _target_label(target):
@@ -365,11 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("free", "exact freeness decision with exponents", parents=(fmt, target))
     add("criteria", "exact certificate plus every combinatorial criterion")
     pair = add("pair", "deletion-pair criterion for (A, A minus one member)")
-    pair.add_argument("index", type=int, help="member index to delete")
+    pair.add_argument("index", type=_integer, help="member index to delete")
     order = add("order", "greedy incidence-nondecreasing ordering of the members")
     order.add_argument(
         "--sub",
-        type=int,
+        type=_integer,
         nargs="*",
         default=(),
         metavar="I",
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = add("verify", "run the full invariant battery on one input")
     verify.add_argument(
         "--corrupt-b2",
-        type=int,
+        type=_integer,
         default=0,
         metavar="DELTA",
         help="shift the claimed b2 before checking (mutation testing)",

@@ -236,9 +236,6 @@ class Multiarrangement(_Frozen):
     def items(self) -> tuple:
         return tuple(zip(self.centrals, self.mults))
 
-    def with_multiplicities(self, mults) -> "Multiarrangement":
-        return Multiarrangement(self.field, self.centrals, mults)
-
     def is_balanced(self) -> bool:
         """No single multiplicity exceeds half of |m|."""
         if not self.mults:

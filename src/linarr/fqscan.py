@@ -99,9 +99,6 @@ class PlaneEnumeration(_Frozen):
         for name, value in zip(self.__slots__, (p, *_plane_tables(p))):
             object.__setattr__(self, name, value)
 
-    def points_on(self, line: Line) -> tuple:
-        return tuple(self.points[k] for k in self.on_line[self.line_ids[line]])
-
 
 # ------------------------------------------------------------ point counts
 

@@ -28,7 +28,7 @@ referenced by index, external lines by their coefficient text.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 
 from .arrangement import (
     COMPLEX_CONJUGATE,
@@ -207,15 +207,15 @@ def _chi_at_count(A: Arrangement, i: int) -> int:
     return value
 
 
-def _sub_criterion(name: str, check, A: Arrangement, sub_indices, *args):
+def _sub_criterion(name: str, check, A: Arrangement, sub_indices):
     """A subarrangement criterion on B = A[sub_indices]: check(A, pair,
-    idx, roots of chi(B), *args) once A's roots are an integer pair.
+    idx, roots of chi(B)) once A's roots are an integer pair.
     run_criteria computes the same inputs once for all candidates."""
     idx = tuple(sub_indices)
     pair = _integer_roots(A)
     if pair is None:
         return _inapplicable(name, "roots are not a pair of integers")
-    return check(A, pair, idx, A.sub_char_poly(idx).roots(), *args)
+    return check(A, pair, idx, A.sub_char_poly(idx).roots())
 
 
 # ---------------------------------------------------------------- criteria
@@ -354,26 +354,20 @@ def _bracketing_sub(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
     return _count_verdict(A, name, n, nr, evidence)
 
 
-def intermediate_search(
-    A: Arrangement, sub_indices, exhaustive_cap: int = EXHAUSTIVE_GAP_CAP
-) -> CriterionEntry:
+def intermediate_search(A: Arrangement, sub_indices) -> CriterionEntry:
     """Biconditional freeness test from a free subarrangement B.
 
     With chi(A) = (t-n)(t-n-r) and B free with exponents (n-s, n-1) for
     s >= 1, A is free exactly when no intermediate C between B and A has
     chi(C) = (t-n-u+1)(t-n+s) with u > r+1. The search runs over the
     greedy insertion chain always, and over all intermediate sets when
-    |A minus B| <= exhaustive_cap. For exponents (n-1, n-s) with
+    |A minus B| <= EXHAUSTIVE_GAP_CAP. For exponents (n-1, n-s) with
     -r <= s <= 0 the equivalent test is a member count in {n, n+r}.
     """
-    return _sub_criterion(
-        "intermediate_search", _intermediate_search, A, sub_indices, exhaustive_cap
-    )
+    return _sub_criterion("intermediate_search", _intermediate_search, A, sub_indices)
 
 
-def _intermediate_search(
-    A: Arrangement, pair, idx, roots_b, exhaustive_cap=EXHAUSTIVE_GAP_CAP
-) -> CriterionEntry:
+def _intermediate_search(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
     name = "intermediate_search"
     n, nr = pair
     r = nr - n
@@ -405,7 +399,7 @@ def _intermediate_search(
         return chi_c.eval(n - s) == 0 and len(subset) - (n - s) > n + r
 
     outside = [i for i in range(len(A)) if i not in set(idx)]
-    if len(outside) <= exhaustive_cap:
+    if len(outside) <= EXHAUSTIVE_GAP_CAP:
         mode = "exhaustive"
         candidates = (
             idx + extra
@@ -553,11 +547,11 @@ def _fresh_direction(A: Arrangement):
     used = {line.direction for line in A.lines}
     # the candidates are normalized and distinct, so len(used) + 1 of them
     # hold a fresh one, unless a prime field's p + 1 directions run out
-    count = len(used) + 1
+    size = len(used) + 1
     if field.kind == PRIME:
-        count = min(count, field.p + 1)
+        size = min(size, field.p + 1)
     one = field.one
-    candidates = [(field.zero, one)] + [(one, field.from_int(k)) for k in range(count - 1)]
+    candidates = [(field.zero, one)] + [(one, field.from_int(k)) for k in range(size - 1)]
     return next((d for d in candidates if d not in used), None)
 
 
@@ -603,21 +597,15 @@ def external_candidates(A: Arrangement) -> tuple:
 
     # a generic line per direction, plus one in a fresh direction: the
     # latter meets every member in a distinct point, realizing the
-    # maximum count |A|. The normalized line through a point has offset
-    # c = k[2] / head read off its key k (plus k[5] / head * sqrt(d) over
-    # Q(sqrt d)); the generic line takes the first c = 0, 1, 2, ... that
-    # no such line has.
+    # maximum count |A|. The generic line takes the first offset
+    # c = 0, 1, 2, ... whose key is not a line through a point.
     for j, (a, b) in enumerate(per_point):
-        hit = set()
-        for k in (row[j] for row in through):
-            head = k[0] or k[1]
-            if k[2] % head == 0 and not any(k[5:]):
-                hit.add(k[2] // head)
-        c = 0
-        while c in hit:
-            c += 1
-        if field.kind != PRIME or c < field.p:
-            offer(_key((a, b, field.from_int(c)), one))
+        hit = {row[j] for row in through}
+        for c in range(field.p) if field.kind == PRIME else count():
+            k = _key((a, b, field.from_int(c)), one)
+            if k not in hit:
+                offer(k)
+                break
 
     return tuple(Line(a, b, c) for a, b, c in _key_scalars(found, 0, one))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -172,6 +173,27 @@ def reference_count_on_line(lines, line: Line) -> int:
             if pt is not None
         }
     )
+
+
+def reference_cmp_root(root, q) -> int:
+    """Sign of root - q for an int root or a real Surd, by cases on u and v."""
+    if isinstance(root, int):
+        d = Fraction(root) - Fraction(q)
+        return (d > 0) - (d < 0)
+    c = root.u - Fraction(q)
+    v = root.v
+    if v == 0:
+        return (c > 0) - (c < 0)
+    if c == 0:
+        return 1 if v > 0 else -1
+    if c > 0 and v > 0:
+        return 1
+    if c < 0 and v < 0:
+        return -1
+    # opposite signs: compare c*c against v*v*rad, sign of the larger wins
+    lhs, rhs = c * c, v * v * root.rad
+    assert lhs != rhs, "sqrt(rad) is irrational for squarefree rad > 1"
+    return 1 if (c > 0) == (lhs > rhs) else -1
 
 
 def reference_order_increasing(points, n: int, base) -> tuple:

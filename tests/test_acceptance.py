@@ -16,6 +16,7 @@ from linarr.arrangement import (
     CharPoly,
 )
 from linarr.derivations import (
+    Multiarrangement,
     exponents,
     graded_kernel_dim,
     is_member,
@@ -239,13 +240,17 @@ def test_criterion_7_random_multiarrangement_lemmas():
 
             # adding one multiplicity moves exactly one exponent up
             i = rng.randrange(M.h)
-            bigger = M.with_multiplicities(
-                tuple(m + (1 if j == i else 0) for j, m in enumerate(M.mults))
+            bigger = Multiarrangement(
+                M.field,
+                M.centrals,
+                tuple(m + (1 if j == i else 0) for j, m in enumerate(M.mults)),
             )
             assert exponents(bigger).pair in {(d1 + 1, d2), (d1, d2 + 1)}
 
             # pointwise monotonicity
-            smaller = M.with_multiplicities(tuple(rng.randint(1, m) for m in M.mults))
+            smaller = Multiarrangement(
+                M.field, M.centrals, tuple(rng.randint(1, m) for m in M.mults)
+            )
             s1, s2 = exponents(smaller).pair
             assert s1 <= d1 and s2 <= d2
 

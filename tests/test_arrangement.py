@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ from helpers import (
     Q,
     random_arrangement,
     random_subset,
+    reference_cmp_root,
     reference_count_on_line,
     reference_order_increasing,
     reference_points,
@@ -236,17 +238,55 @@ def test_root_pair_invariants(n, b2):
         assert rp.cmp_high(n) == -1  # high root < n once b2 > 0; b2 = 0 is integer
 
 
-def test_surd_cmp_rational_mixed_signs():
-    # 1 - sqrt(5) ~ -1.236
-    s = Surd(Fraction(1), Fraction(-1), 5)
-    assert s.cmp_rational(-2) == 1
-    assert s.cmp_rational(-1) == -1
-    assert s.cmp_rational(0) == -1
-    # -1 + sqrt(5) ~ 1.236
-    t = Surd(Fraction(-1), Fraction(1), 5)
-    assert t.cmp_rational(1) == 1
-    assert t.cmp_rational(2) == -1
-    assert t.cmp_rational(Fraction(-3, 2)) == 1
+def test_root_pair_mixed_sign_surds():
+    # 1 - sqrt(5) ~ -1.236: u > 0 and v < 0
+    rp = CharPoly(2, -4).roots()
+    assert rp.low == Surd(Fraction(1), Fraction(-1), 5)
+    assert rp.cmp_low(-2) == 1
+    assert rp.cmp_low(-1) == -1
+    assert rp.cmp_low(0) == -1
+    # -1 + sqrt(5) ~ 1.236: u < 0 and v > 0
+    rp = CharPoly(-2, -4).roots()
+    assert rp.high == Surd(Fraction(-1), Fraction(1), 5)
+    assert rp.cmp_high(1) == 1
+    assert rp.cmp_high(2) == -1
+    assert rp.cmp_high(Fraction(-3, 2)) == 1
+
+
+def test_root_comparisons_match_surd_reference():
+    """cmp_low, cmp_high and gap_cmp against the case analysis on u + v*sqrt(rad).
+
+    Every CharPoly(n, b2) with n in [-12, 40] and b2 in [-60, 400]. q runs
+    over n/2 and the halves and thirds next to each root (two below a
+    root off the grid, one below one on it, and two above), so it hits
+    every rational root and both sides of each root; k runs over 0 and
+    the integers next to the gap.
+    """
+    for n in range(-12, 41):
+        for b2 in range(-60, 401):
+            rp = CharPoly(n, b2).roots()
+            if rp.classification == COMPLEX_CONJUGATE:
+                for cmp in (rp.cmp_low, rp.cmp_high, rp.gap_cmp):
+                    with pytest.raises(PreconditionError):
+                        cmp(0)
+                continue
+            root = math.sqrt(rp.discriminant)
+            qs = {Fraction(n, 2)}
+            for x in ((n - root) / 2, (n + root) / 2):
+                for den in (2, 3):
+                    k = math.floor(x * den)
+                    qs.update(Fraction(j, den) for j in range(k - 1, k + 3))
+            for q in qs:
+                assert rp.cmp_low(q) == reference_cmp_root(rp.low, q), (n, b2, q)
+                assert rp.cmp_high(q) == reference_cmp_root(rp.high, q), (n, b2, q)
+            if rp.classification == TWO_INTEGER:
+                gap = rp.high - rp.low
+            else:
+                # 2*v*sqrt(rad) as a surd with zero rational part
+                gap = Surd(Fraction(0), 2 * rp.high.v, rp.high.rad)
+            s = math.isqrt(rp.discriminant)
+            for k in {0, *range(max(s - 1, 0), s + 3)}:
+                assert rp.gap_cmp(k) == reference_cmp_root(gap, k), (n, b2, k)
 
 
 # --------------------------------------------------------- incidence counts

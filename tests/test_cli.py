@@ -324,6 +324,49 @@ def test_bad_target_exits_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("text", ["１", "١", "1_0", " 1", "1.0", "x", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free", "pencil3.arr", "--target", "member:{}"],
+        ["pair", "pencil3.arr", "{}"],
+        ["order", "pencil3.arr", "--sub", "0", "{}"],
+        ["verify", "pencil3.arr", "--corrupt-b2", "{}"],
+    ],
+)
+def test_integer_arguments_take_ascii_digits_only(capsys, argv, text):
+    argv = [path(a) if a.endswith(".arr") else a.format(text) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    (line,) = capsys.readouterr().err.splitlines()[-1:]
+    assert f"not an integer: {text!r}" in line
+    assert "_parse_target" not in line and "_integer" not in line
+
+
+def test_overlong_integer_argument_error_is_short(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", path("pencil3.arr"), "9" * 5000])
+    assert exc.value.code == 1
+    (line,) = capsys.readouterr().err.splitlines()[-1:]
+    assert "not an integer" in line and "(5000 chars)" in line and len(line) < 200
+
+
+def test_ascii_integer_arguments_keep_their_sign(capsys):
+    for args in (
+        ("free", "--target", "member:{}", "1"),
+        ("pair", "{}", "2"),
+        ("order", "--sub", "{}", "1"),
+        ("verify", "--corrupt-b2", "{}", "0"),
+    ):
+        command, *opts, value = args
+        plain = run(capsys, command, path("pencil4.arr"), *(o.format(value) for o in opts))
+        signed = run(capsys, command, path("pencil4.arr"), *(o.format("+" + value) for o in opts))
+        assert plain == signed and plain[0] == 0
+    rc, _, err = run(capsys, "pair", path("pencil3.arr"), "-1")
+    assert rc == 1 and "out of range" in err
+
+
 def test_missing_file_exits_one(capsys):
     rc, out, err = run(capsys, "chi", "/nonexistent/nope.arr")
     assert rc == 1

@@ -644,8 +644,10 @@ def test_increment_moves_one_exponent():
         for _ in range(25):
             M = random_multiarrangement(rng, field, max_h=4, min_h=1, max_mult=3)
             i = rng.randrange(M.h)
-            bigger = M.with_multiplicities(
-                tuple(m + (1 if j == i else 0) for j, m in enumerate(M.mults))
+            bigger = Multiarrangement(
+                M.field,
+                M.centrals,
+                tuple(m + (1 if j == i else 0) for j, m in enumerate(M.mults)),
             )
             d1, d2 = exponents(M).pair
             assert exponents(bigger).pair in {(d1 + 1, d2), (d1, d2 + 1)}
@@ -656,8 +658,8 @@ def test_pointwise_monotonicity():
     for field in (Q, F5):
         for _ in range(25):
             M = random_multiarrangement(rng, field, max_h=4, min_h=1, max_mult=4)
-            smaller = M.with_multiplicities(
-                tuple(rng.randint(1, m) for m in M.mults)
+            smaller = Multiarrangement(
+                M.field, M.centrals, tuple(rng.randint(1, m) for m in M.mults)
             )
             d1, d2 = exponents(smaller).pair
             e1, e2 = exponents(M).pair
@@ -691,7 +693,7 @@ def test_unbalanced_closed_form():
             i = rng.randrange(M.h)
             mults = list(M.mults)
             mults[i] = sum(mults) + rng.randint(1, 3)
-            M = M.with_multiplicities(tuple(mults))
+            M = Multiarrangement(M.field, M.centrals, tuple(mults))
             assert not M.is_balanced()
             top = max(M.mults)
             assert exponents(M).pair == (M.size - top, top)

@@ -51,7 +51,7 @@ def test_plane_enumeration_incidence(p):
     assert len(plane.points) == p * p
     assert len(plane.lines) == p * p + p
     for line in plane.lines:
-        pts = plane.points_on(line)
+        pts = [plane.points[k] for k in plane.on_line[plane.line_ids[line]]]
         assert len(pts) == p
         assert all(line.a * x + line.b * y + line.c == plane.field.zero for x, y in pts)
     for (x, y), ids in zip(plane.points, plane.through):

@@ -380,12 +380,13 @@ def test_intermediate_search_exhaustive_free():
     }
 
 
-def test_intermediate_search_finds_violating_set():
+def test_intermediate_search_finds_violating_set(monkeypatch):
     # B = {x, y, x-y} inside the five-pencil plus transversal; the full
     # pencil C has chi(C, 1) = 0 with second root 4 > n + r = 3
     A = pencil_with_transversal()
     for cap, mode in ((12, "exhaustive"), (0, "chain")):
-        entry = intermediate_search(A, (0, 1, 2), exhaustive_cap=cap)
+        monkeypatch.setattr(freeness, "EXHAUSTIVE_GAP_CAP", cap)
+        entry = intermediate_search(A, (0, 1, 2))
         assert entry.conclusion == NOT_FREE
         assert entry.evidence == {
             "n": 3,
