@@ -6,6 +6,7 @@ freeness via b2 against the product of the at-infinity restriction
 exponents, window facts from the integer roots.
 """
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from linarr.arrangement import (
     Line,
     RootPair,
     line_through,
+    format_arrangement,
     load_arrangement,
     normalize_line,
 )
@@ -767,6 +769,31 @@ def test_run_criteria_random_consistency():
         verify_root_window(A)
         for i in range(len(A)):
             assert decide_free(A, i).verdict == report.certificate.verdict
+
+
+def test_criteria_battery_digest():
+    """Certificates and criterion rows of 400 seeded arrangements, frozen
+    by one digest: 3-10 lines over Q, F5, F7 and Q(sqrt 2), the last in
+    irrational coordinates. Every criterion concludes on some of them."""
+    fields = (Q, F5, Field.prime(7), Field.quadratic(2))
+    rng = random.Random("criteria battery digest")
+    digest = hashlib.sha256()
+    free = 0
+    concluded = set()
+    for k in range(400):
+        A = irrational(random_arrangement(rng, fields[k % 4], 10, min_lines=3))
+        report = run_criteria(A)
+        rows = [entry.as_record() for entry in report.entries]
+        digest.update(repr((format_arrangement(A), report.certificate, rows)).encode())
+        free += report.certificate.is_free
+        concluded.update(
+            e.name for e in report.entries if e.applicable and e.conclusion != NO_CONCLUSION
+        )
+    assert free == 50
+    assert len(concluded) == 8
+    assert digest.hexdigest() == (
+        "d70929fc92ed5f8bc97f2b7769f7a533c8f142f558cff9ecbc676da2213e2915"
+    )
 
 
 def test_run_criteria_reads_each_candidates_roots_once(monkeypatch):
