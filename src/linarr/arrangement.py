@@ -22,14 +22,21 @@ or a complex conjugate pair (rad < 0). Real roots are compared with a
 rational q through the signs of chi(q) and n - 2q, and their gap with
 an integer k through the sign of discriminant - k^2, in every class.
 
-Everything is immutable; delete and add build fresh arrangements and
-rebuild caches.
+Root pairs are memoized per (n, b2) in a bounded cache, since the
+criteria read the same few polynomials over and over.
+
+Everything is immutable, and an arrangement hashes its member keys once,
+when it is built. delete, add and subarrangement build fresh
+arrangements with fresh caches; the criteria in freeness do not call
+them, since they read a subarrangement's counts, b2 and parallel classes
+off its parent's lattice.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import InvariantViolation, MembershipError, ParseError, PreconditionError
@@ -126,7 +133,7 @@ class CharPoly:
         return " ".join(parts)
 
     def roots(self) -> "RootPair":
-        return RootPair.from_char_poly(self)
+        return _roots(self.n, self.b2)
 
     def factored_str(self) -> str | None:
         """"(t-5)(t-7)" style string when the roots are integers, else None."""
@@ -248,6 +255,16 @@ class RootPair:
         return (d > 0) - (d < 0)
 
 
+# (n, b2) pairs kept by the roots memo: every chi of up to 18 lines fits,
+# as 0 <= b2 <= n(n-1)/2
+ROOTS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=ROOTS_CACHE_SIZE)
+def _roots(n: int, b2: int) -> RootPair:
+    return RootPair.from_char_poly(CharPoly(n, b2))
+
+
 class Arrangement(_Frozen):
     """Ordered distinct lines over one field, with incidence caches."""
 
@@ -264,18 +281,23 @@ class Arrangement(_Frozen):
         "_classes",
         "_n_counts",
         "_char_poly",
+        "_hash",
     )
 
     def __init__(self, field: Field, lines):
         index: dict[Line, int] = {}
+        coerce, one = field.coerce, field.one
         for i, line in enumerate(lines):
             if not isinstance(line, Line):
                 raise PreconditionError(f"expected a Line, got {line!r}")
-            # re-normalize to catch hand-built unnormalized triples; store
-            # canon, since an equal triple of plain ints hashes differently
-            canon = normalize_line(field, line.a, line.b, line.c)
-            if canon != Line(*map(field.coerce, (line.a, line.b, line.c))):
+            # coerce to catch hand-built unnormalized triples; store canon,
+            # since an equal triple of plain ints hashes differently
+            a, b, c = coerce(line.a), coerce(line.b), coerce(line.c)
+            if not a and not b:
+                raise PreconditionError("not a line: a and b are both zero")
+            if (a if a else b) != one:
                 raise PreconditionError(f"line {line} is not normalized")
+            canon = Line(a, b, c)
             if canon in index:
                 raise PreconditionError(f"duplicate line {line}")
             index[canon] = i
@@ -320,6 +342,9 @@ class Arrangement(_Frozen):
         )
         object.__setattr__(self, "_n_counts", n_counts)
         object.__setattr__(self, "_char_poly", CharPoly(n, b2))
+        # a member's key is a function of the member, so equal line sets
+        # have equal key sets
+        object.__setattr__(self, "_hash", hash((field, frozenset(keys))))
 
     # -------------------------------------------------------- constructors
 
@@ -335,12 +360,10 @@ class Arrangement(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, Arrangement):
             return NotImplemented
-        return self.field == other.field and frozenset(self.lines) == frozenset(
-            other.lines
-        )
+        return self.field == other.field and self._index.keys() == other._index.keys()
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.lines)))
+        return self._hash
 
     def __repr__(self):
         return f"Arrangement({self.field}, {len(self.lines)} lines)"

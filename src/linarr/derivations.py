@@ -193,10 +193,12 @@ class Multiarrangement(_Frozen):
     """Distinct central lines with positive multiplicities, in input order.
 
     Equality and hashing use set semantics so that logically equal
-    multiarrangements built in different orders share cache entries.
+    multiarrangements built in different orders share cache entries; the
+    item set and its hash are computed once, when it is built.
     """
 
-    __slots__ = _args = ("field", "centrals", "mults")
+    _args = ("field", "centrals", "mults")
+    __slots__ = _args + ("_item_set", "_hash")
 
     def __init__(self, field: Field, centrals, mults):
         centrals = tuple(
@@ -212,6 +214,9 @@ class Multiarrangement(_Frozen):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "centrals", centrals)
         object.__setattr__(self, "mults", mults)
+        item_set = frozenset(zip(centrals, mults))
+        object.__setattr__(self, "_item_set", item_set)
+        object.__setattr__(self, "_hash", hash((field, item_set)))
 
     @classmethod
     def from_pairs(cls, field: Field, weighted) -> "Multiarrangement":
@@ -245,12 +250,10 @@ class Multiarrangement(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, Multiarrangement):
             return NotImplemented
-        return self.field == other.field and frozenset(self.items()) == frozenset(
-            other.items()
-        )
+        return self.field == other.field and self._item_set == other._item_set
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.items())))
+        return self._hash
 
     def __repr__(self):
         return f"Multiarrangement({self.field}, h={self.h}, |m|={self.size})"

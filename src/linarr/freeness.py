@@ -20,6 +20,12 @@ those lines on integer line keys (see exactalg for their form), with
 membership read off the members' own keys, and builds one Line per
 distinct candidate.
 
+The exact decisions of A minus H (addition) and of a candidate B are
+read off A's own data, and no Arrangement is built for them: chi(B)
+comes from A's lattice (sub_char_poly), and B's restriction at infinity
+counts B's members by direction. Both paths and decide_free share one
+decision core, _certificate.
+
 Criterion entries carry machine-readable evidence dictionaries whose
 keys are stable snake_case names; members of the arrangement are
 referenced by index, external lines by their coefficient text.
@@ -36,7 +42,13 @@ from .arrangement import (
     Arrangement,
     Line,
 )
-from .derivations import AT_INFINITY, CACHE_SIZE, exponents, ziegler_restriction
+from .derivations import (
+    AT_INFINITY,
+    CACHE_SIZE,
+    Multiarrangement,
+    exponents,
+    ziegler_restriction,
+)
 from .errors import InvariantViolation, MembershipError, PreconditionError
 from .exactalg import _JOIN, PRIME, _key, _key_scalars, record
 
@@ -116,12 +128,12 @@ class RootWindowReport:
 # ------------------------------------------------------------ exact decision
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _decide_free_cached(A: Arrangement, target) -> FreenessCertificate:
-    M = ziegler_restriction(A, target)
+def _certificate(M: Multiarrangement, b2: int, target) -> FreenessCertificate:
+    """The decision core: b2 of an arrangement against the exponents of
+    its Ziegler restriction M, which has one unit of multiplicity per
+    line."""
     e = exponents(M)
-    b2 = A.char_poly().b2
-    if e.d1 + e.d2 != len(A):
+    if e.d1 + e.d2 != M.size:
         raise InvariantViolation("restriction exponents must sum to |A|")
     if b2 < e.d1 * e.d2:
         raise InvariantViolation(
@@ -131,6 +143,24 @@ def _decide_free_cached(A: Arrangement, target) -> FreenessCertificate:
     if b2 == e.d1 * e.d2:
         return FreenessCertificate(FREE, (e.d1, e.d2), b2, e.d1, e.d2, target)
     return FreenessCertificate(NOT_FREE, None, b2, e.d1, e.d2, target)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _decide_free_cached(A: Arrangement, target) -> FreenessCertificate:
+    return _certificate(ziegler_restriction(A, target), A.char_poly().b2, target)
+
+
+def _decide_sub(A: Arrangement, idx, b2: int) -> FreenessCertificate:
+    """decide_free(A.subarrangement(idx)) from A's own data, given b2 of
+    chi(B) for B = A[idx]. B's restriction at infinity counts the members
+    in idx by direction, in order of first occurrence in idx: the
+    multiarrangement that ziegler_restriction(B) builds."""
+    counts: dict[tuple, int] = {}
+    for i in idx:
+        d = A.lines[i].direction
+        counts[d] = counts.get(d, 0) + 1
+    M = Multiarrangement(A.field, counts, counts.values())
+    return _certificate(M, b2, AT_INFINITY)
 
 
 def decide_free(A: Arrangement, target=AT_INFINITY) -> FreenessCertificate:
@@ -180,11 +210,12 @@ def _count_verdict(A: Arrangement, name: str, n: int, nr: int, evidence, **tail)
     return CriterionEntry(name, True, verdict, {**evidence, "member": witness, **tail})
 
 
-def _sub_is_free(A: Arrangement, idx: tuple, roots: tuple) -> bool:
-    """Decide B = A[idx] exactly. A free B has chi(B) = (t-d1)(t-d2), so
-    its exponents must be its integer roots (low, high)."""
-    cert = decide_free(A.subarrangement(idx))
-    if cert.is_free and cert.exponents != roots:
+def _sub_is_free(A: Arrangement, idx: tuple, roots_b) -> bool:
+    """Decide B = A[idx] exactly, given the roots of chi(B). A free B has
+    chi(B) = (t-d1)(t-d2), so its exponents must be its integer roots
+    (low, high)."""
+    cert = _decide_sub(A, idx, roots_b.b2)
+    if cert.is_free and cert.exponents != (roots_b.low, roots_b.high):
         raise InvariantViolation("free subarrangement exponents must match its roots")
     return cert.is_free
 
@@ -298,8 +329,9 @@ def deletion_pair(A: Arrangement, which) -> CriterionEntry:
 
 def addition(A: Arrangement, which) -> CriterionEntry:
     """Addition step: chi(A, n_H) = chi(A', n_H) = 0 ties the freeness of
-    A to that of A' = A minus H. chi(A') is read from A's lattice; only
-    when both vanish is A' built, to decide the smaller side exactly."""
+    A to that of A' = A minus H. chi(A') is read from A's lattice, and
+    only when both vanish is A' decided exactly, also from A's data; no
+    arrangement is built."""
     name = "addition"
     i = A.member_index(which)
     n_h = A.n_counts[i]
@@ -311,7 +343,8 @@ def addition(A: Arrangement, which) -> CriterionEntry:
             NO_CONCLUSION,
             {"member": i, "count": n_h, "chi_at_count": chi_at_count},
         )
-    smaller = decide_free(A.delete(i))
+    rest = [j for j in range(len(A)) if j != i]
+    smaller = _decide_sub(A, rest, A.sub_char_poly(rest).b2)
     return CriterionEntry(
         name,
         True,
@@ -387,7 +420,7 @@ def _intermediate_search(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
             sub_roots=[y1, y2],
             n=n,
         )
-    if not _sub_is_free(A, idx, (y1, y2)):
+    if not _sub_is_free(A, idx, roots_b):
         return _inapplicable(name, "subarrangement is not free", sub=list(idx))
     s = n - y2 if shifted else n - y1
     evidence = {"n": n, "r": r, "s": s, "sub": list(idx), "sub_exponents": [y1, y2]}
@@ -450,7 +483,7 @@ def _subfree(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
             roots=[x1, x2],
             sub_roots=[y1, y2],
         )
-    if not _sub_is_free(A, idx, (y1, y2)):
+    if not _sub_is_free(A, idx, roots_b):
         return _inapplicable(
             name,
             "subarrangement is not free",
@@ -531,7 +564,7 @@ def _small_exponent_sub(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
             n=n,
             r=r,
         )
-    if not _sub_is_free(A, idx, shape):
+    if not _sub_is_free(A, idx, roots_b):
         return _inapplicable(name, "subarrangement is not free", sub=list(idx))
     evidence = {"n": n, "r": r, "sub": list(idx), "sub_exponents": list(shape)}
     return _count_verdict(A, name, n, nr, evidence)

@@ -238,6 +238,23 @@ def test_root_pair_invariants(n, b2):
         assert rp.cmp_high(n) == -1  # high root < n once b2 > 0; b2 = 0 is integer
 
 
+def test_roots_memo_matches_from_char_poly():
+    """roots() is memoized per (n, b2) in a bounded cache and returns the
+    pair from_char_poly builds, in all three classes. The grid holds more
+    pairs than the cache, so evicted pairs are rebuilt as well."""
+    assert arrangement._roots.cache_info().maxsize == arrangement.ROOTS_CACHE_SIZE
+    grid = [(n, b2) for n in range(-6, 31) for b2 in range(-20, 121)]
+    assert len(grid) > arrangement.ROOTS_CACHE_SIZE
+    seen = set()
+    for _ in range(2):
+        for n, b2 in grid:
+            rp = CharPoly(n, b2).roots()
+            assert rp == RootPair.from_char_poly(CharPoly(n, b2)), (n, b2)
+            assert CharPoly(n, b2).roots() is rp
+            seen.add(rp.classification)
+    assert seen == {TWO_INTEGER, REAL_IRRATIONAL, COMPLEX_CONJUGATE}
+
+
 def test_root_pair_mixed_sign_surds():
     # 1 - sqrt(5) ~ -1.236: u > 0 and v < 0
     rp = CharPoly(2, -4).roots()

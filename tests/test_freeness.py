@@ -32,7 +32,7 @@ from linarr.arrangement import (
     normalize_line,
 )
 from linarr.derivations import AT_INFINITY, exponents, ziegler_restriction
-from linarr import freeness
+from linarr import arrangement, freeness
 from linarr.errors import InvariantViolation, MembershipError
 from linarr.exactalg import _JOIN, Field, _key, _key_scalars
 from linarr.fixtures import ARRANGEMENT_FIXTURES, fixture_names, fixture_path, pencil
@@ -286,18 +286,36 @@ def test_deletion_pair_builds_no_arrangement(monkeypatch):
     assert built == []
 
 
-def test_addition_builds_one_arrangement_iff_count_is_a_root(monkeypatch):
+def test_addition_builds_no_arrangement_and_decides_iff_count_is_a_root(monkeypatch):
     instances = [ARRANGEMENT_FIXTURES[name]() for name in sorted(ARRANGEMENT_FIXTURES)]
     instances += [grid_with_diagonal(), pencil_with_transversal(), triangle()]
+    # the rebuilt A minus H, decided before any construction is counted
+    expected = [[decide_free(A.delete(i)) for i in range(len(A))] for A in instances]
+    decided = []
+    decide_sub = freeness._decide_sub
+
+    def spying(A, idx, b2):
+        cert = decide_sub(A, idx, b2)
+        decided.append((tuple(idx), cert))
+        return cert
+
+    monkeypatch.setattr(freeness, "_decide_sub", spying)
     built = _count_builds(monkeypatch)
     seen = set()
-    for A in instances:
+    for A, certs in zip(instances, expected):
         for i in range(len(A)):
-            del built[:]
-            addition(A, i)
+            del decided[:]
+            entry = addition(A, i)
             at_root = A.char_poly().eval(A.n_counts[i]) == 0
             seen.add(at_root)
-            assert built == ([len(A) - 1] if at_root else []), (A, i)
+            if at_root:
+                rest = tuple(j for j in range(len(A)) if j != i)
+                assert decided == [(rest, certs[i])], (A, i)
+                assert entry.conclusion == entry.evidence["deleted_verdict"] == certs[i].verdict
+            else:
+                assert decided == [], (A, i)
+                assert entry.conclusion == NO_CONCLUSION
+    assert built == []
     assert seen == {True, False}
 
 
@@ -519,19 +537,22 @@ def test_root_gap_inapplicability_reasons():
 def test_free_subarrangement_exponents_must_match_roots(monkeypatch, criterion, make, idx):
     A = make()
     assert criterion(A, idx).applicable
-    exact = freeness.decide_free
+    exact = freeness._decide_sub
+    skewed_subs = []
 
-    def skewed(B, target=AT_INFINITY):
-        cert = exact(B, target)
-        if len(B) == len(A) or not cert.is_free:
+    def skewed(A, sub, b2):
+        cert = exact(A, sub, b2)
+        if not cert.is_free:
             return cert
+        skewed_subs.append(tuple(sub))
         d1, d2 = cert.exponents
         skew = (d1 - 1, d2 + 1)
         return FreenessCertificate(cert.verdict, skew, cert.b2, cert.d1, cert.d2, cert.target)
 
-    monkeypatch.setattr(freeness, "decide_free", skewed)
+    monkeypatch.setattr(freeness, "_decide_sub", skewed)
     with pytest.raises(InvariantViolation, match="must match its roots"):
         criterion(A, idx)
+    assert skewed_subs == [idx]
 
 
 # ------------------------------------------------------- small_exponent_sub
@@ -796,6 +817,37 @@ def test_criteria_battery_digest():
     )
 
 
+@pytest.mark.parametrize("field", [Q, F3, F5, Field.prime(7), Field.quadratic(2)], ids=str)
+def test_sub_decisions_match_rebuilt_subarrangements(field, monkeypatch):
+    """Each candidate B and each A minus H, decided from A's data, equals
+    the decision of the rebuilt arrangement, and its restriction at
+    infinity is the one ziegler_restriction builds, in the same order."""
+    restrictions = []
+
+    def recording(M):
+        restrictions.append(M)
+        return exponents(M)
+
+    monkeypatch.setattr(freeness, "exponents", recording)
+    rng = random.Random(f"sub decisions {field}")
+    decided = 0
+    for _ in range(16):
+        A = irrational(random_arrangement(rng, field, 8, min_lines=2))
+        for idx in candidate_subarrangements(A):
+            B = A.subarrangement(idx)
+            del restrictions[:]
+            cert = freeness._decide_sub(A, idx, A.sub_char_poly(idx).b2)
+            M = ziegler_restriction(B)
+            assert restrictions == [M]
+            assert (restrictions[0].centrals, restrictions[0].mults) == (M.centrals, M.mults)
+            assert cert == decide_free(B), (A, idx)
+            decided += 1
+        for i in range(len(A)):
+            rest = [j for j in range(len(A)) if j != i]
+            assert freeness._decide_sub(A, rest, A.sub_char_poly(rest).b2) == decide_free(A.delete(i))
+    assert decided > 250
+
+
 def test_run_criteria_reads_each_candidates_roots_once(monkeypatch):
     calls = []
     from_char_poly = RootPair.from_char_poly.__func__
@@ -831,5 +883,5 @@ def test_run_criteria_walks_no_candidate_without_integer_roots(monkeypatch):
 
 
 def test_result_caches_are_bounded():
-    for cached in (exponents, freeness._decide_free_cached):
+    for cached in (exponents, freeness._decide_free_cached, arrangement._roots):
         assert isinstance(cached.cache_info().maxsize, int)

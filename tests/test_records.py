@@ -67,7 +67,7 @@ CASES = {
         True,
     ),
     "RootPair": (
-        lambda: CharPoly(4, 2).roots(),
+        lambda: RootPair.from_char_poly(CharPoly(4, 2)),
         "RootPair(n=4, b2=2, discriminant=8, classification='real-irrational', "
         "low=Surd(u=Fraction(2, 1), v=Fraction(-1, 1), rad=2), "
         "high=Surd(u=Fraction(2, 1), v=Fraction(1, 1), rad=2))",
@@ -210,6 +210,33 @@ def test_records_are_frozen(name):
         rec.extra = 1
     assert getattr(rec, field) is before
     assert _state(rec) == _state(MAKE[name]()) and _hash(rec) == hashed
+
+
+def test_hash_once_values_keep_the_hash_contract():
+    """Arrangement and Multiarrangement hash once, when built: values
+    with equal sets in another order, or with coefficients given as plain
+    ints, hash equal, and so do their pickles and copies."""
+    F5 = Field.prime(5)
+    triples = [(1, 0, 0), (0, 1, Quad(0, 1, 2)), (1, 1, 1), (1, Quad(1, -1, 2), 0)]
+    A = Arrangement.from_triples(R2, triples)
+    weighted = [(1, 0, 2), (0, 1, 1), (1, 2, 3)]
+    M = Multiarrangement.from_pairs(F5, weighted)
+    pairs = [
+        (A, Arrangement.from_triples(R2, triples[::-1]), A.delete(0)),
+        (
+            Arrangement(F5, [Line(1, 2, 3), Line(0, 1, 4)]),
+            Arrangement.from_triples(F5, [(0, 1, 4), (1, 2, 3)]),
+            Arrangement.from_triples(F5, [(0, 1, 4), (1, 2, 2)]),
+        ),
+        (M, Multiarrangement.from_pairs(F5, weighted[::-1]), Multiarrangement(F5, M.centrals, [2, 1, 2])),
+    ]
+    for value, reordered, other in pairs:
+        assert value == reordered and hash(value) == hash(reordered)
+        assert value != other and other != value
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert clone == value == clone and clone == reordered and clone != other
+            assert hash(clone) == hash(value)
+            assert len({value, reordered, clone, other}) == 2
 
 
 @params
