@@ -32,7 +32,7 @@ from linarr.arrangement import (
     normalize_line,
 )
 from linarr.derivations import AT_INFINITY, exponents, ziegler_restriction
-from linarr import arrangement, freeness
+from linarr import freeness
 from linarr.errors import InvariantViolation, MembershipError
 from linarr.exactalg import _JOIN, Field, _key, _key_scalars
 from linarr.fixtures import ARRANGEMENT_FIXTURES, fixture_names, fixture_path, pencil
@@ -540,8 +540,8 @@ def test_free_subarrangement_exponents_must_match_roots(monkeypatch, criterion, 
     exact = freeness._decide_sub
     skewed_subs = []
 
-    def skewed(A, sub, b2):
-        cert = exact(A, sub, b2)
+    def skewed(parent, sub, b2):
+        cert = exact(parent, sub, b2)
         if not cert.is_free:
             return cert
         skewed_subs.append(tuple(sub))
@@ -883,5 +883,5 @@ def test_run_criteria_walks_no_candidate_without_integer_roots(monkeypatch):
 
 
 def test_result_caches_are_bounded():
-    for cached in (exponents, freeness._decide_free_cached, arrangement._roots):
+    for cached in (exponents, freeness._decide_free_cached):
         assert isinstance(cached.cache_info().maxsize, int)
