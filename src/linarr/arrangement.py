@@ -22,14 +22,13 @@ or a complex conjugate pair (rad < 0). Real roots are compared with a
 rational q through the signs of chi(q) and n - 2q, and their gap with
 an integer k through the sign of discriminant - k^2, in every class.
 
-Root pairs are memoized per (n, b2) in a bounded cache, since the
-criteria read the same few polynomials over and over.
+Root pairs are memoized per (n, b2), since the criteria read the same
+few polynomials over and over.
 
 Everything is immutable, and an arrangement hashes its member keys once,
 when it is built. delete, add and subarrangement build fresh
-arrangements with fresh caches; the criteria in freeness do not call
-them, since they read a subarrangement's counts, b2 and parallel classes
-off its parent's lattice.
+arrangements and caches; the criteria in freeness call none of them, as
+they read what they need of a subarrangement off its parent.
 """
 
 from __future__ import annotations

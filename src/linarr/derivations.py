@@ -277,6 +277,16 @@ def _q_lifted(M: Multiarrangement) -> tuple:
 # --------------------------------------------------------- Ziegler restriction
 
 
+def _at_infinity(field: Field, lines) -> Multiarrangement:
+    """The restriction onto z = 0 of the cone over `lines`: one central
+    per direction class, weighted by the class size, in order of first
+    occurrence."""
+    counts: dict[tuple, int] = {}
+    for line in lines:
+        counts[line.direction] = counts.get(line.direction, 0) + 1
+    return Multiarrangement(field, counts, counts.values())
+
+
 def ziegler_restriction(A: Arrangement, target=AT_INFINITY) -> Multiarrangement:
     """Ziegler restriction of the cone of A onto one of its planes.
 
@@ -287,8 +297,7 @@ def ziegler_restriction(A: Arrangement, target=AT_INFINITY) -> Multiarrangement:
     """
     field = A.field
     if target == AT_INFINITY:
-        pairs = [(d, len(ix)) for d, ix in A.parallel_classes]
-        M = Multiarrangement(field, [d for d, _ in pairs], [m for _, m in pairs])
+        M = _at_infinity(field, A.lines)
         if M.size != len(A):
             raise InvariantViolation("restriction multiplicities must sum to |A|")
         return M

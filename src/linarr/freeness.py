@@ -23,7 +23,7 @@ distinct candidate.
 The exact decisions of A minus H (addition) and of a candidate B are
 read off A's own data, and no Arrangement is built for them: chi(B)
 comes from A's lattice (sub_char_poly), and B's restriction at infinity
-counts B's members by direction. Both paths and decide_free share one
+from B's members' directions. Both paths and decide_free share one
 decision core, _certificate.
 
 Criterion entries carry machine-readable evidence dictionaries whose
@@ -46,6 +46,7 @@ from .derivations import (
     AT_INFINITY,
     CACHE_SIZE,
     Multiarrangement,
+    _at_infinity,
     exponents,
     ziegler_restriction,
 )
@@ -152,14 +153,8 @@ def _decide_free_cached(A: Arrangement, target) -> FreenessCertificate:
 
 def _decide_sub(A: Arrangement, idx, b2: int) -> FreenessCertificate:
     """decide_free(A.subarrangement(idx)) from A's own data, given b2 of
-    chi(B) for B = A[idx]. B's restriction at infinity counts the members
-    in idx by direction, in order of first occurrence in idx: the
-    multiarrangement that ziegler_restriction(B) builds."""
-    counts: dict[tuple, int] = {}
-    for i in idx:
-        d = A.lines[i].direction
-        counts[d] = counts.get(d, 0) + 1
-    M = Multiarrangement(A.field, counts, counts.values())
+    chi(B) for B = A[idx]."""
+    M = _at_infinity(A.field, [A.lines[i] for i in idx])
     return _certificate(M, b2, AT_INFINITY)
 
 
