@@ -1,8 +1,10 @@
-"""Byte-for-byte CLI output on every shipped .arr fixture.
+"""Byte-for-byte CLI output on every shipped fixture.
 
 tests/data/golden_cli.json maps each command line below to the exit code
-and exact stdout it produced when the file was recorded. Refactors of
-the criteria and lattice layers must leave these bytes unchanged.
+and exact stdout it produced when the file was recorded: every
+subcommand on every .arr fixture, and exponents on every .marr fixture.
+Refactors of the criteria, lattice, restriction and CLI layers must
+leave these bytes unchanged.
 
 To regenerate the file (only when an output change is intended):
 
@@ -22,8 +24,17 @@ from linarr.fixtures import fixture_names, fixture_path
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_cli.json"
 
 ARR_FIXTURES = [name for name in fixture_names() if name.endswith(".arr")]
+MARR_FIXTURES = [name for name in fixture_names() if name.endswith(".marr")]
 
 COMMANDS = (
+    ("chi",),
+    ("roots",),
+    ("spectrum",),
+    ("ziegler",),
+    ("ziegler", "--target", "member:0"),
+    ("exponents",),
+    ("exponents", "--target", "member:0"),
+    ("free", "--target", "member:0"),
     ("criteria",),
     ("criteria", "--format", "json-lines"),
     ("free",),
@@ -35,18 +46,24 @@ COMMANDS = (
     ("verify", "--format", "json-lines"),
 )
 
+MARR_COMMANDS = (
+    ("exponents",),
+    ("exponents", "--format", "json-lines"),
+)
+
 
 def command_lines():
-    for name in ARR_FIXTURES:
-        for command in COMMANDS:
-            args = [name if a == "{file}" else a for a in command]
-            if "{file}" not in command:
-                args.insert(1, name)
-            yield tuple(args)
+    for names, commands in ((ARR_FIXTURES, COMMANDS), (MARR_FIXTURES, MARR_COMMANDS)):
+        for name in names:
+            for command in commands:
+                args = [name if a == "{file}" else a for a in command]
+                if "{file}" not in command:
+                    args.insert(1, name)
+                yield tuple(args)
 
 
 def replay(args) -> dict:
-    argv = [str(fixture_path(a)) if a in ARR_FIXTURES else a for a in args]
+    argv = [str(fixture_path(a)) if a in ARR_FIXTURES + MARR_FIXTURES else a for a in args]
     out = io.StringIO()
     with redirect_stdout(out):
         rc = main(argv)
@@ -60,6 +77,7 @@ def _load_golden() -> dict:
 
 def test_golden_covers_every_arr_fixture():
     assert len(ARR_FIXTURES) == 16
+    assert len(MARR_FIXTURES) == 4
     assert sorted(_load_golden()) == sorted(" ".join(a) for a in command_lines())
 
 
