@@ -410,11 +410,7 @@ class Arrangement(_Frozen):
         """
         field = self.field
         join, param = _JOIN[field.kind], field.d or field.p
-        i = self._index.get(line)
-        if i is None:
-            mine = _key([field.coerce(t) for t in (line.a, line.b, line.c)], field.one)
-        else:
-            mine = self._keys[i]
+        mine = _key([field.coerce(t) for t in (line.a, line.b, line.c)], field.one)
         keys = {join(mine, other, 2, param) for other in self._keys}
         keys.discard(None)
         return len(keys)

@@ -319,22 +319,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_HANDLERS = {
-    "chi": _cmd_chi,
-    "roots": _cmd_roots,
-    "spectrum": _cmd_spectrum,
-    "ziegler": _cmd_ziegler,
-    "exponents": _cmd_exponents,
-    "free": _cmd_free,
-    "criteria": _cmd_criteria,
-    "pair": _cmd_pair,
-    "order": _cmd_order,
-    "fq-count": _cmd_fq_count,
-    "fq-spectrum": _cmd_fq_spectrum,
-    "verify": _cmd_verify,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="linarr", description="Exact freeness tests for affine line arrangements.")
     fmt = _Parser(add_help=False)
@@ -354,26 +338,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, help_text, *, parents=(fmt,), file_help="input .arr file"):
+    def add(name, handler, help_text, *, parents=(fmt,), file_help="input .arr file"):
         p = sub.add_parser(name, parents=list(parents), help=help_text)
         p.add_argument("file", help=file_help)
+        p.set_defaults(handler=handler)
         return p
 
-    add("chi", "characteristic polynomial, factored when the roots are integers")
-    add("roots", "exact roots and their classification")
-    add("spectrum", "member incidence counts as sorted 'value count' pairs")
-    add("ziegler", "Ziegler restriction multiarrangement", parents=(fmt, target))
+    add("chi", _cmd_chi, "characteristic polynomial, factored when the roots are integers")
+    add("roots", _cmd_roots, "exact roots and their classification")
+    add("spectrum", _cmd_spectrum, "member incidence counts as sorted 'value count' pairs")
+    add("ziegler", _cmd_ziegler, "Ziegler restriction multiarrangement", parents=(fmt, target))
     add(
         "exponents",
+        _cmd_exponents,
         "exponents of a multiarrangement (.marr) or of a restriction (.arr)",
         parents=(fmt, target),
         file_help="input .arr or .marr file",
     )
-    add("free", "exact freeness decision with exponents", parents=(fmt, target))
-    add("criteria", "exact certificate plus every combinatorial criterion")
-    pair = add("pair", "deletion-pair criterion for (A, A minus one member)")
+    add("free", _cmd_free, "exact freeness decision with exponents", parents=(fmt, target))
+    add("criteria", _cmd_criteria, "exact certificate plus every combinatorial criterion")
+    pair = add("pair", _cmd_pair, "deletion-pair criterion for (A, A minus one member)")
     pair.add_argument("index", type=_integer, help="member index to delete")
-    order = add("order", "greedy incidence-nondecreasing ordering of the members")
+    order = add("order", _cmd_order, "greedy incidence-nondecreasing ordering of the members")
     order.add_argument(
         "--sub",
         type=_integer,
@@ -382,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I",
         help="member indices of the starting subarrangement",
     )
-    add("fq-count", "complement point count over a prime field")
-    add("fq-spectrum", "incidence histogram over every line of the prime plane")
-    verify = add("verify", "run the full invariant battery on one input")
+    add("fq-count", _cmd_fq_count, "complement point count over a prime field")
+    add("fq-spectrum", _cmd_fq_spectrum, "incidence histogram over every line of the prime plane")
+    verify = add("verify", _cmd_verify, "run the full invariant battery on one input")
     verify.add_argument(
         "--corrupt-b2",
         type=_integer,
@@ -399,7 +385,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        records, lines = _HANDLERS[args.command](args)
+        records, lines = args.handler(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

@@ -42,9 +42,8 @@ from .exactalg import (
     Field,
     _Frozen,
     _kernel_rows,
-    _lift_parts,
+    _lift,
     _lifted_mul,
-    _rref_rows,
     _shown,
     record,
 )
@@ -266,9 +265,9 @@ def _q_lifted(M: Multiarrangement) -> tuple:
     linear_power.
     """
     one = M.field.one
-    out = _lift_parts((one,), one)
+    out = _lift((one,), one)
     for central, m in M.items():
-        base = _lift_parts(central, one)
+        base = _lift(central, one)
         for _ in range(m):
             out = _lifted_mul(out, base, one)
     return out
@@ -277,13 +276,14 @@ def _q_lifted(M: Multiarrangement) -> tuple:
 # --------------------------------------------------------- Ziegler restriction
 
 
-def _at_infinity(field: Field, lines) -> Multiarrangement:
-    """The restriction onto z = 0 of the cone over `lines`: one central
-    per direction class, weighted by the class size, in order of first
-    occurrence."""
+def _counted(field: Field, centrals) -> Multiarrangement:
+    """A Ziegler restriction from the restricted central of each line: one
+    central per distinct entry of `centrals`, weighted by how often it
+    occurs, in order of first occurrence. At infinity a line's restricted
+    central is its direction."""
     counts: dict[tuple, int] = {}
-    for line in lines:
-        counts[line.direction] = counts.get(line.direction, 0) + 1
+    for central in centrals:
+        counts[central] = counts.get(central, 0) + 1
     return Multiarrangement(field, counts, counts.values())
 
 
@@ -297,40 +297,25 @@ def ziegler_restriction(A: Arrangement, target=AT_INFINITY) -> Multiarrangement:
     """
     field = A.field
     if target == AT_INFINITY:
-        M = _at_infinity(field, A.lines)
-        if M.size != len(A):
-            raise InvariantViolation("restriction multiplicities must sum to |A|")
-        return M
+        M = _counted(field, [line.direction for line in A.lines])
+    else:
+        i = A.member_index(target)
+        h_line = A.lines[i]
+        u, v = _kernel_rows([[h_line.a, h_line.b, h_line.c]], 3, field.one)
 
-    i = A.member_index(target)
-    h_line = A.lines[i]
-    u, v = _kernel_rows([[h_line.a, h_line.b, h_line.c]], 3, field.one)
+        def restrict(triple):
+            s = triple[0] * u[0] + triple[1] * u[1] + triple[2] * u[2]
+            t = triple[0] * v[0] + triple[1] * v[1] + triple[2] * v[2]
+            if not s and not t:
+                raise InvariantViolation("a distinct plane restricted to zero")
+            return normalize_direction(field, s, t)
 
-    def restrict(triple):
-        s = triple[0] * u[0] + triple[1] * u[1] + triple[2] * u[2]
-        t = triple[0] * v[0] + triple[1] * v[1] + triple[2] * v[2]
-        if not s and not t:
-            raise InvariantViolation("a distinct plane restricted to zero")
-        return normalize_direction(field, s, t)
-
-    counts: dict[tuple, int] = {}
-    order = []
-    others = [ln for j, ln in enumerate(A.lines) if j != i]
-    for triple in [(ln.a, ln.b, ln.c) for ln in others] + [
-        (field.zero, field.zero, field.one)
-    ]:
-        central = restrict(triple)
-        if central not in counts:
-            counts[central] = 0
-            order.append(central)
-        counts[central] += 1
-    M = Multiarrangement(field, order, [counts[c] for c in order])
+        others = [(ln.a, ln.b, ln.c) for j, ln in enumerate(A.lines) if j != i]
+        M = _counted(field, map(restrict, others + [(field.zero, field.zero, field.one)]))
     if M.size != len(A):
         raise InvariantViolation("restriction multiplicities must sum to |A|")
-    if M.h != A.n_counts[i] + 1:
-        raise InvariantViolation(
-            "member restriction must have n_H + 1 distinct centrals"
-        )
+    if target != AT_INFINITY and M.h != A.n_counts[i] + 1:
+        raise InvariantViolation("member restriction must have n_H + 1 distinct centrals")
     return M
 
 
@@ -369,18 +354,6 @@ def _constraint_rows(M: Multiarrangement, d: int) -> list:
                 coef[d - s if a else s] = one
             rows.append([a * c for c in coef] + [b * c for c in coef])
     return rows
-
-
-def graded_kernel_dim(M: Multiarrangement, d: int) -> int:
-    """Dimension of the degree-d homogeneous piece of D(M)."""
-    if d < 0:
-        raise PreconditionError("degree must be >= 0")
-    rows = _constraint_rows(M, d)
-    ncols = 2 * (d + 1)
-    if not rows:
-        return ncols
-    _, pivots = _rref_rows(rows, ncols, M.field.one)
-    return ncols - len(pivots)
 
 
 def graded_kernel(M: Multiarrangement, d: int) -> tuple:
@@ -499,7 +472,7 @@ def saito_verify(theta1: HomDerivation, theta2: HomDerivation, M: Multiarrangeme
 def _lifted_halves(theta: HomDerivation, one) -> tuple:
     """(P, Q) of theta in integer form, lifted together with one scale."""
     width = theta.degree + 1
-    parts = _lift_parts(theta.px + theta.py, one)
+    parts = _lift(theta.px + theta.py, one)
     return tuple(x[:width] for x in parts), tuple(x[width:] for x in parts)
 
 

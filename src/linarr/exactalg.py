@@ -15,16 +15,16 @@ Every value type of the library derives from _Frozen: setting or
 deleting an attribute raises, and __reduce__ rebuilds the value as
 type(self)(*args) from the attributes its _args names, so values pickle
 and copy. Quad and Mod derive from _Scalar(_Frozen), which adds
-division and square-and-multiply powers on top of each class's own
-_lift, +, -, * and inverse. Arrangement, Multiarrangement and
-PlaneEnumeration are written by hand on _Frozen; Field and the other
-value classes are records: @record rebuilds an annotated class on
-_Frozen with __slots__ and _args its fields and generated __init__ (its
-defaults, then __post_init__ if defined), __eq__ (same class, equal
-field tuples), __hash__ of the field tuple and a Name(field=value)
-__repr__. It does what dataclass(frozen=True, slots=True) did, without
-importing dataclasses, which took about half the time of importing the
-CLI.
+subtraction, division and square-and-multiply powers on top of each
+class's own _lift, +, unary minus, * and inverse. Arrangement,
+Multiarrangement and PlaneEnumeration are written by hand on _Frozen;
+Field and the other value classes are records: @record rebuilds an
+annotated class on _Frozen with __slots__ and _args its fields and
+generated __init__ (its defaults, then __post_init__ if defined),
+__eq__ (same class, equal field tuples), __hash__ of the field tuple
+and a Name(field=value) __repr__. It does what dataclass(frozen=True,
+slots=True) did, without importing dataclasses, which took about half
+the time of importing the CLI.
 
 _kernel_rows is the one kernel construction: it takes plain rows of
 field scalars and returns the reduced row echelon form of the standard
@@ -33,15 +33,15 @@ basis deterministic: the same rows always yield the same vectors in the
 same order.
 
 Integer form: _lift(vec, one) puts a vector over one common
-denominator and returns the numerators: ints over Q; over Q(sqrt d),
-for entries u + v*sqrt(d), a pair (u parts, v parts) of int lists;
-residues over F_p. _scalar(num, den, one) builds num/den as a field
-scalar, with num a (u, v) pair over Q(sqrt d) and den 1 over F_p. The
-intersection lattice of an arrangement and the elimination below
-compute on these ints and build field scalars only for results.
-Polynomials take the same form: _lift_parts lifts a coefficient tuple
-into a tuple of parts, one part per int list above, and _lifted_mul
-multiplies two of them, which is how derivations runs Saito's check.
+denominator and returns the numerators as a tuple of parts, one int
+list each: (ints,) over Q; over Q(sqrt d), for entries u + v*sqrt(d),
+(u parts, v parts); (residues,) over F_p. _scalar(num, den, one)
+builds num/den as a field scalar, with num a (u, v) pair over
+Q(sqrt d) and den 1 over F_p. The intersection lattice of an
+arrangement and the elimination below compute on these ints and build
+field scalars only for results. Polynomials take the same form: the
+lift of a coefficient tuple, which _lifted_mul multiplies, and that is
+how derivations runs Saito's check.
 
 Keys: points and lines are homogeneous triples. The point (x, y) is
 (x, y, 1), its head the last coordinate; the line a*x + b*y + c = 0 is
@@ -150,9 +150,22 @@ class _Frozen:
 
 
 class _Scalar(_Frozen):
-    """Division and powers from each field's _lift, *, and inverse."""
+    """Subtraction, division and powers from each field's _lift, +,
+    unary minus, * and inverse."""
 
     __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + -o
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o + -self
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -214,18 +227,6 @@ class Quad(_Scalar):
         return Quad(self.u + o.u, self.v + o.v, self.d)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Quad(self.u - o.u, self.v - o.v, self.d)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Quad(o.u - self.u, o.v - self.v, self.d)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -294,18 +295,6 @@ class Mod(_Scalar):
         return Mod(self.value + o.value, self.p)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Mod(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Mod(o.value - self.value, self.p)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -542,10 +531,11 @@ class Field:
         return f"F_{self.p}"
 
 
-def _lift(vec, one):
-    """vec in integer form over the field type(one); see the module docstring."""
+def _lift(vec, one) -> tuple:
+    """vec in integer form over the field type(one), a tuple of parts;
+    see the module docstring."""
     if type(one) is Mod:
-        return [x.value for x in vec]
+        return ([x.value for x in vec],)
     if type(one) is Quad:
         den = lcm(*(x.u.denominator for x in vec), *(x.v.denominator for x in vec))
         return (
@@ -553,7 +543,7 @@ def _lift(vec, one):
             [x.v.numerator * (den // x.v.denominator) for x in vec],
         )
     den = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec]
+    return ([x.numerator * (den // x.denominator) for x in vec],)
 
 
 def _scalar(num, den, one):
@@ -563,13 +553,6 @@ def _scalar(num, den, one):
     if type(one) is Quad:
         return Quad(Fraction(num[0], den), Fraction(num[1], den), one.d)
     return Fraction(num, den)
-
-
-def _lift_parts(vec, one) -> tuple:
-    """vec in integer form as a tuple of parts: (ints,) over Q, (residues,)
-    over F_p, (u parts, v parts) over Q(sqrt d)."""
-    lifted = _lift(vec, one)
-    return lifted if type(one) is Quad else (lifted,)
 
 
 def _int_mul(p: list, q: list) -> list:
@@ -582,7 +565,7 @@ def _int_mul(p: list, q: list) -> list:
 
 
 def _lifted_mul(p: tuple, q: tuple, one) -> tuple:
-    """Product of two polynomials given by _lift_parts of their coefficients."""
+    """Product of two polynomials given by _lift of their coefficients."""
     if type(one) is Quad:
         (pu, pv), (qu, qv) = p, q
         d = one.d
@@ -603,8 +586,8 @@ def _lifted_mul(p: tuple, q: tuple, one) -> tuple:
 
 def _key(vec, one) -> tuple:
     """The key of a normalized triple: its integer form, flattened."""
-    ints = _lift(vec, one)
-    return tuple(ints[0] + ints[1]) if type(one) is Quad else tuple(ints)
+    parts = _lift(vec, one)
+    return tuple(parts[0] + parts[1]) if type(one) is Quad else tuple(parts[0])
 
 
 def _join_rational(p, q, head, _):
@@ -692,7 +675,7 @@ def _rref_rows(rows: list[list], ncols: int, one) -> tuple[list[list], list[int]
 
 def _rref_rational(rows, ncols, one):
     """Fraction-free Gauss-Jordan over Z; every pivot ends equal to prev."""
-    lifted = [ints for ints in (_lift(row, one) for row in rows) if any(ints)]
+    lifted = [ints for (ints,) in (_lift(row, one) for row in rows) if any(ints)]
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
@@ -791,7 +774,7 @@ def _rref_quadratic(rows, ncols, one):
 def _rref_residues(rows, ncols, one):
     """Gauss-Jordan on residue ints modulo p."""
     p = one.p
-    lifted = [ints for ints in (_lift(row, one) for row in rows) if any(ints)]
+    lifted = [ints for (ints,) in (_lift(row, one) for row in rows) if any(ints)]
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)

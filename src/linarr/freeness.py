@@ -46,7 +46,7 @@ from .derivations import (
     AT_INFINITY,
     CACHE_SIZE,
     Multiarrangement,
-    _at_infinity,
+    _counted,
     exponents,
     ziegler_restriction,
 )
@@ -154,7 +154,7 @@ def _decide_free_cached(A: Arrangement, target) -> FreenessCertificate:
 def _decide_sub(A: Arrangement, idx, b2: int) -> FreenessCertificate:
     """decide_free(A.subarrangement(idx)) from A's own data, given b2 of
     chi(B) for B = A[idx]."""
-    M = _at_infinity(A.field, [A.lines[i] for i in idx])
+    M = _counted(A.field, [A.lines[i].direction for i in idx])
     return _certificate(M, b2, AT_INFINITY)
 
 
@@ -215,8 +215,10 @@ def _sub_is_free(A: Arrangement, idx: tuple, roots_b) -> bool:
     return cert.is_free
 
 
-def _chi_at_count(A: Arrangement, i: int) -> int:
-    """chi(A, n_H) for member i; at a zero, assert chi(A minus H, n_H) = 0.
+def _chi_at_count(A: Arrangement, i: int):
+    """(chi(A, n_H), chi(A minus H)) for member i. chi(A minus H) is read
+    only at a zero, where chi(A minus H, n_H) = 0 is asserted, and is
+    None otherwise.
 
     chi(A minus H) is recounted from A's lattice by sub_char_poly rather
     than taken from the deletion-restriction identity, so the assertion
@@ -224,13 +226,14 @@ def _chi_at_count(A: Arrangement, i: int) -> int:
     """
     n_h = A.n_counts[i]
     value = A.char_poly().eval(n_h)
-    if value == 0:
-        rest = [j for j in range(len(A)) if j != i]
-        if A.sub_char_poly(rest).eval(n_h) != 0:
-            raise InvariantViolation(
-                "deletion-restriction forces both polynomials to vanish at n_H"
-            )
-    return value
+    if value != 0:
+        return value, None
+    deleted = A.sub_char_poly([j for j in range(len(A)) if j != i])
+    if deleted.eval(n_h) != 0:
+        raise InvariantViolation(
+            "deletion-restriction forces both polynomials to vanish at n_H"
+        )
+    return value, deleted
 
 
 def _sub_criterion(name: str, check, A: Arrangement, sub_indices):
@@ -307,7 +310,7 @@ def deletion_pair(A: Arrangement, which) -> CriterionEntry:
     name = "deletion_pair"
     i = A.member_index(which)
     n_h = A.n_counts[i]
-    if _chi_at_count(A, i) == 0:
+    if _chi_at_count(A, i)[0] == 0:
         return CriterionEntry(
             name,
             True,
@@ -330,7 +333,7 @@ def addition(A: Arrangement, which) -> CriterionEntry:
     name = "addition"
     i = A.member_index(which)
     n_h = A.n_counts[i]
-    chi_at_count = _chi_at_count(A, i)
+    chi_at_count, deleted = _chi_at_count(A, i)
     if chi_at_count != 0:
         return CriterionEntry(
             name,
@@ -338,8 +341,7 @@ def addition(A: Arrangement, which) -> CriterionEntry:
             NO_CONCLUSION,
             {"member": i, "count": n_h, "chi_at_count": chi_at_count},
         )
-    rest = [j for j in range(len(A)) if j != i]
-    smaller = _decide_sub(A, rest, A.sub_char_poly(rest).b2)
+    smaller = _decide_sub(A, [j for j in range(len(A)) if j != i], deleted.b2)
     return CriterionEntry(
         name,
         True,
@@ -649,8 +651,7 @@ def verify_root_window(A: Arrangement, externals=None) -> RootWindowReport:
     counts in {a} union Z_{>=a+b}. Violations raise InvariantViolation.
     """
     chi = A.char_poly()
-    if externals is None:
-        externals = external_candidates(A)
+    externals = external_candidates(A) if externals is None else tuple(externals)
     for i, n_h in enumerate(A.n_counts):
         if chi.eval(n_h) < 0:
             raise InvariantViolation(
@@ -682,7 +683,7 @@ def verify_root_window(A: Arrangement, externals=None) -> RootWindowReport:
     return RootWindowReport(
         member_values=tuple(sorted(set(A.n_counts))),
         external_values=tuple(sorted(set(external_values))),
-        externals_checked=len(tuple(externals)),
+        externals_checked=len(externals),
         free=cert.is_free,
     )
 

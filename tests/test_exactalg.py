@@ -380,7 +380,7 @@ def test_lift_then_scalar_scales_by_one_common_factor(case):
     field, vec = case
     one = field.one
     lifted = _lift(vec, one)
-    cells = list(zip(*lifted)) if field.kind == QUADRATIC else lifted
+    cells = list(zip(*lifted)) if field.kind == QUADRATIC else lifted[0]
     assert len(cells) == len(vec)
     scaled = [_scalar(x, 1, one) for x in cells]
     assert all(type(x) is type(one) for x in scaled)

@@ -24,8 +24,8 @@ from linarr.arrangement import (
     REAL_IRRATIONAL,
     TWO_INTEGER,
     Arrangement,
+    CharPoly,
     Line,
-    RootPair,
     line_through,
     format_arrangement,
     load_arrangement,
@@ -755,6 +755,14 @@ def test_root_window_on_fixtures():
     assert not {3, 4, 5} & set(report.external_values)
 
 
+def test_root_window_reads_externals_from_a_generator():
+    A = ARRANGEMENT_FIXTURES["squares_diagonals"]()
+    externals = external_candidates(A)
+    report = verify_root_window(A, externals)
+    assert report.free and report.externals_checked == len(externals) == 99
+    assert verify_root_window(A, (L for L in externals)) == report
+
+
 # ------------------------------------------------------------- full battery
 
 
@@ -849,14 +857,16 @@ def test_sub_decisions_match_rebuilt_subarrangements(field, monkeypatch):
 
 
 def test_run_criteria_reads_each_candidates_roots_once(monkeypatch):
+    # counted at CharPoly.roots, since RootPair.from_char_poly runs only
+    # on a miss of the roots memo
     calls = []
-    from_char_poly = RootPair.from_char_poly.__func__
+    roots = CharPoly.roots
 
-    def counting(cls, cp):
+    def counting(cp):
         calls.append(cp)
-        return from_char_poly(cls, cp)
+        return roots(cp)
 
-    monkeypatch.setattr(RootPair, "from_char_poly", classmethod(counting))
+    monkeypatch.setattr(CharPoly, "roots", counting)
     for name in sorted(ARRANGEMENT_FIXTURES):
         A = ARRANGEMENT_FIXTURES[name]()
         candidates = len(candidate_subarrangements(A))

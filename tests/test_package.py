@@ -8,7 +8,7 @@ from pathlib import Path
 import linarr
 
 # test-only helpers that the package no longer carries or exports
-REMOVED = ("ExactMatrix", "rref", "rank", "kernel_basis")
+REMOVED = ("ExactMatrix", "rref", "rank", "kernel_basis", "graded_kernel_dim")
 
 # modules the CLI does not need at start-up: dataclasses pulls in inspect,
 # ast and dis, and json is loaded only for JSON output
