@@ -39,9 +39,9 @@ list each: (ints,) over Q; over Q(sqrt d), for entries u + v*sqrt(d),
 builds num/den as a field scalar, with num a (u, v) pair over
 Q(sqrt d) and den 1 over F_p. The intersection lattice of an
 arrangement and the elimination below compute on these ints and build
-field scalars only for results. Polynomials take the same form: the
-lift of a coefficient tuple, which _lifted_mul multiplies, and that is
-how derivations runs Saito's check.
+field scalars only for results. Polynomials take the same form, the
+_lift of their coefficient tuple, and _lifted_mul multiplies two of
+them, which is how derivations runs Saito's check.
 
 Keys: points and lines are homogeneous triples. The point (x, y) is
 (x, y, 1), its head the last coordinate; the line a*x + b*y + c = 0 is
