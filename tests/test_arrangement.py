@@ -821,6 +821,62 @@ def test_multiplicity_errors_show_at_most_32_token_characters(token, message):
     assert info.value.message == message
 
 
+_DUPLICATE_LINE = "duplicate line (same as line directive on input line 2)"
+_DUPLICATE_CENTRAL = "duplicate central (same as mline on input line 2)"
+_ZERO_MULT = "multiplicity must be a positive integer, got '0'"
+
+
+@pytest.mark.parametrize(
+    "parse, text, where, message",
+    [
+        (parse_arrangement, "field Q\nline 1 2 3\nline 2 4 6", (3, 1), _DUPLICATE_LINE),
+        (parse_arrangement, "field F 5\nline 1 2 3\n  line 2 4 1", (3, 3), _DUPLICATE_LINE),
+        (parse_arrangement, "field Q\nline 1 2 3\nline 2 4 6\nline 0 0 1", (3, 1), _DUPLICATE_LINE),
+        (parse_multiarrangement, "field Q\nmline 1 0 1\nmline 2 0 1", (3, 1), _DUPLICATE_CENTRAL),
+        (parse_multiarrangement, "field Q sqrt 2\nmline 1 r 1\n mline r 2 3", (3, 2), _DUPLICATE_CENTRAL),
+        (parse_arrangement, "field Q\nline 0 0 1", (2, 1), "not a line: a and b are both zero"),
+        (parse_arrangement, "field Q sqrt 2\n line 0 0 r", (2, 2), "not a line: a and b are both zero"),
+        (parse_multiarrangement, "field Q\nmline 0 0 2", (2, 1), "not a direction: a and b are both zero"),
+        (parse_multiarrangement, "field F 5\nmline 5 0 2", (2, 1), "not a direction: a and b are both zero"),
+        (parse_arrangement, "field Q\nline 1 x 0", (2, 8), "bad rational 'x'"),
+        (parse_multiarrangement, "field Q\nmline 1 x 2", (2, 9), "bad rational 'x'"),
+        (parse_multiarrangement, "field Q\nmline x 0 0", (2, 7), "bad rational 'x'"),
+        (parse_multiarrangement, "field Q\nmline 1 0 0", (2, 11), _ZERO_MULT),
+        (parse_multiarrangement, "field Q\nmline 1 0 x", (2, 11), "multiplicity must be a positive integer, got 'x'"),
+        (parse_multiarrangement, "field Q\nmline 0 0 0", (2, 11), _ZERO_MULT),
+        (parse_multiarrangement, "field Q\nmline 1 0 1\nmline 1 0 0", (3, 11), _ZERO_MULT),
+        (parse_arrangement, "field Q\nline 1 x 0\nline 1 0", (3, 1), "line takes 3 arguments"),
+        (parse_multiarrangement, "field Q\nmline 1 x 2\nmline 1 0", (3, 1), "mline takes 3 arguments"),
+        (parse_multiarrangement, "field Q\nmline 0 0 2\nmline 1 0 1 1", (3, 1), "mline takes 3 arguments"),
+    ],
+    ids=[
+        "arr-duplicate",
+        "arr-duplicate-indented",
+        "arr-duplicate-before-degenerate",
+        "marr-duplicate",
+        "marr-duplicate-indented",
+        "arr-degenerate",
+        "arr-degenerate-indented",
+        "marr-degenerate",
+        "marr-degenerate-residues",
+        "arr-bad-scalar",
+        "marr-bad-scalar",
+        "marr-bad-scalar-before-multiplicity",
+        "marr-zero-multiplicity",
+        "marr-bad-multiplicity",
+        "marr-multiplicity-before-degenerate",
+        "marr-multiplicity-before-duplicate",
+        "arr-arity-after-bad-scalar",
+        "marr-arity-after-bad-scalar",
+        "marr-arity-after-degenerate",
+    ],
+)
+def test_row_errors_keep_their_text_and_position(parse, text, where, message):
+    with pytest.raises(ParseError) as info:
+        parse(text + "\n", path="in")
+    assert (info.value.line, info.value.column, info.value.message) == (*where, message)
+
+
 _FUZZ_TOKENS = st.one_of(
     st.sampled_from(
         ["field", "Q", "F", "sqrt", "line", "mline", "#", "r", "-r", "2+3r", "1/0",
