@@ -418,14 +418,16 @@ class Arrangement(_Frozen):
     # -------------------------------------------------------- edits
 
     def member_index(self, which) -> int:
-        """Index of a member given as a Line or as an index; raises
-        MembershipError for a non-member line or an index out of range."""
+        """Index of a member given as a Line or as an int other than a bool;
+        raises MembershipError for anything else, a non-member line or an
+        index out of range."""
         if isinstance(which, Line):
             return self.index_of(which)
-        i = int(which)
-        if not 0 <= i < len(self.lines):
-            raise MembershipError(f"line index {i} out of range")
-        return i
+        if type(which) is bool or not isinstance(which, int):
+            raise MembershipError(f"{which!r} is not a Line or a line index")
+        if not 0 <= which < len(self.lines):
+            raise MembershipError(f"line index {which} out of range")
+        return which
 
     def delete(self, which) -> "Arrangement":
         i = self.member_index(which)
@@ -443,7 +445,7 @@ class Arrangement(_Frozen):
         return Arrangement(self.field, [self.lines[i] for i in idx])
 
     def _validate_subset(self, indices) -> tuple[int, ...]:
-        idx = tuple(self.member_index(int(i)) for i in indices)
+        idx = tuple(self.member_index(i) for i in indices)
         seen = set()
         for i in idx:
             if i in seen:
@@ -536,11 +538,13 @@ def _parse_field_header(tokens, lineno, path) -> Field:
     )
 
 
-def parse_body(text: str, path, keyword: str, arity: int):
-    """Shared reader for .arr and .marr: a field header then keyword rows.
-
-    Returns (field, rows) where each row is (arg tokens with columns,
-    lineno, directive column); argument parsing is left to the caller.
+def parse_body(text: str, path, keyword: str, duplicate: str, build):
+    """Shared reader for .arr and .marr: a field header, then keyword rows
+    of three arguments. Every row's shape is checked before any row is
+    read. build(field, args, lineno, path) turns a row's (token, column)
+    pairs into (key, item); a PreconditionError it raises, and a repeated
+    key, worded duplicate.format(line of its first occurrence), are
+    reported at the directive's column. Returns (field, items).
     """
     field = None
     rows = []
@@ -557,14 +561,23 @@ def parse_body(text: str, path, keyword: str, arity: int):
             continue
         if word != keyword:
             raise ParseError(f"unknown directive {word!r}", lineno, col, path)
-        if len(tokens) != arity + 1:
-            raise ParseError(
-                f"{keyword} takes {arity} arguments", lineno, col, path
-            )
+        if len(tokens) != 4:
+            raise ParseError(f"{keyword} takes 3 arguments", lineno, col, path)
         rows.append((tokens[1:], lineno, col))
     if field is None:
         raise ParseError("empty input: missing field header", 1, 1, path)
-    return field, rows
+    items = []
+    seen = {}
+    for args, lineno, col in rows:
+        try:
+            key, item = build(field, args, lineno, path)
+        except PreconditionError as exc:
+            raise ParseError(str(exc), lineno, col, path) from None
+        if key in seen:
+            raise ParseError(duplicate.format(seen[key]), lineno, col, path)
+        seen[key] = lineno
+        items.append(item)
+    return field, items
 
 
 def scalar_at(field: Field, token: str, lineno: int, col: int, path):
@@ -574,26 +587,15 @@ def scalar_at(field: Field, token: str, lineno: int, col: int, path):
         raise ParseError(exc.message, lineno, col, path) from None
 
 
+def _line_row(field: Field, args, lineno: int, path):
+    line = normalize_line(field, *(scalar_at(field, t, lineno, c, path) for t, c in args))
+    return line, line
+
+
 def parse_arrangement(text: str, path=None) -> Arrangement:
     """Parse the .arr format: a field header, then 'line <a> <b> <c>' rows."""
-    field, rows = parse_body(text, path, "line", 3)
-    lines = []
-    seen = {}
-    for args, lineno, col in rows:
-        a, b, c = (scalar_at(field, tok, lineno, tc, path) for tok, tc in args)
-        try:
-            line = normalize_line(field, a, b, c)
-        except PreconditionError as exc:
-            raise ParseError(str(exc), lineno, col, path) from None
-        if line in seen:
-            raise ParseError(
-                f"duplicate line (same as line directive on input line {seen[line]})",
-                lineno,
-                col,
-                path,
-            )
-        seen[line] = lineno
-        lines.append(line)
+    duplicate = "duplicate line (same as line directive on input line {})"
+    field, lines = parse_body(text, path, "line", duplicate, _line_row)
     return Arrangement(field, lines)
 
 

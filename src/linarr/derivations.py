@@ -506,39 +506,27 @@ def euler_witness(M: Multiarrangement) -> HomDerivation:
 _INT = re.compile(r"[0-9]+\Z")
 
 
+def _mline_row(field: Field, args, lineno: int, path):
+    (atok, acol), (btok, bcol), (mtok, mcol) = args
+    a = scalar_at(field, atok, lineno, acol, path)
+    b = scalar_at(field, btok, lineno, bcol, path)
+    try:
+        mult = int(mtok) if _INT.match(mtok) else 0
+    except ValueError:  # past the int-string digit limit
+        message = f"bad multiplicity {_shown(mtok)}: too many digits"
+        raise ParseError(message, lineno, mcol, path) from None
+    if mult < 1:
+        message = f"multiplicity must be a positive integer, got {_shown(mtok)}"
+        raise ParseError(message, lineno, mcol, path)
+    central = normalize_direction(field, a, b)
+    return central, (central, mult)
+
+
 def parse_multiarrangement(text: str, path=None) -> Multiarrangement:
     """Parse the .marr format: a field header, then 'mline <a> <b> <mult>' rows."""
-    field, rows = parse_body(text, path, "mline", 3)
-    centrals = []
-    mults = []
-    seen = {}
-    for args, lineno, col in rows:
-        (atok, acol), (btok, bcol), (mtok, mcol) = args
-        a = scalar_at(field, atok, lineno, acol, path)
-        b = scalar_at(field, btok, lineno, bcol, path)
-        try:
-            mult = int(mtok) if _INT.match(mtok) else 0
-        except ValueError:  # past the int-string digit limit
-            message = f"bad multiplicity {_shown(mtok)}: too many digits"
-            raise ParseError(message, lineno, mcol, path) from None
-        if mult < 1:
-            message = f"multiplicity must be a positive integer, got {_shown(mtok)}"
-            raise ParseError(message, lineno, mcol, path)
-        try:
-            central = normalize_direction(field, a, b)
-        except PreconditionError as exc:
-            raise ParseError(str(exc), lineno, col, path) from None
-        if central in seen:
-            raise ParseError(
-                f"duplicate central (same as mline on input line {seen[central]})",
-                lineno,
-                col,
-                path,
-            )
-        seen[central] = lineno
-        centrals.append(central)
-        mults.append(mult)
-    return Multiarrangement(field, centrals, mults)
+    duplicate = "duplicate central (same as mline on input line {})"
+    field, items = parse_body(text, path, "mline", duplicate, _mline_row)
+    return Multiarrangement(field, [c for c, _ in items], [m for _, m in items])
 
 
 def load_multiarrangement(path) -> Multiarrangement:

@@ -59,15 +59,17 @@ fused function per field) crosses two keys into a key: two lines meet
 in their point's key, None when they are parallel, and two points span
 their line's key. _key_scalars turns keys back into field scalars.
 
-Elimination runs on the lifted rows. Q and Q(sqrt d) use fraction-free
-Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): with head the new pivot
-and prev the previous one, every other row becomes
+Elimination runs on the lifted rows, in two loops. Q and Q(sqrt d) use
+fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): with head
+the new pivot and prev the previous one, every other row becomes
 (head*row - f*pivot_row) / prev, a division that is exact by
-Sylvester's identity. In Z[sqrt d] it is multiplication by conj(prev)
-followed by exact division of both parts by the norm of prev. F_p uses
-ordinary Gauss-Jordan modulo p. Every pivot ends equal to the last
-one, D, so each returned cell is entry/D, and at most one field scalar
-is built per returned cell.
+Sylvester's identity. The integer loop serves Q and F_p: over F_p it
+scales each pivot row so that the pivot is 1 and reduces each updated
+row mod p, so prev stays 1. The Z[sqrt d] loop runs on (u, v) pairs,
+and its division by prev is multiplication by conj(prev) followed by
+exact division of both parts by the norm of prev. Every pivot ends
+equal to the last one, D, so each returned cell is entry/D, and at most
+one field scalar is built per returned cell.
 """
 
 from __future__ import annotations
@@ -666,15 +668,16 @@ def _rref_rows(rows: list[list], ncols: int, one) -> tuple[list[list], list[int]
     The field is type(one). The rows are lifted to ints once and
     eliminated there; only the returned cells become field scalars.
     """
-    if type(one) is Mod:
-        return _rref_residues(rows, ncols, one)
     if type(one) is Quad:
         return _rref_quadratic(rows, ncols, one)
-    return _rref_rational(rows, ncols, one)
+    return _rref_integers(rows, ncols, one)
 
 
-def _rref_rational(rows, ncols, one):
-    """Fraction-free Gauss-Jordan over Z; every pivot ends equal to prev."""
+def _rref_integers(rows, ncols, one):
+    """Gauss-Jordan over Z: fraction-free over Q, where every pivot ends
+    equal to prev; over F_p each pivot row is scaled to pivot 1 and each
+    updated row reduced mod p, so prev stays 1."""
+    p = one.p if type(one) is Mod else 0
     lifted = [ints for (ints,) in (_lift(row, one) for row in rows) if any(ints)]
     pivots: list[int] = []
     prev = 1
@@ -688,11 +691,17 @@ def _rref_rational(rows, ncols, one):
         lifted[r], lifted[i] = lifted[i], lifted[r]
         prow = lifted[r]
         head = prow[c]
+        if p and head != 1:
+            inv = pow(head, -1, p)
+            prow = lifted[r] = [a * inv % p for a in prow]
+            head = 1
         for i, row in enumerate(lifted):
             if i == r:
                 continue
             f = row[c]
-            if f:
+            if f and p:
+                lifted[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+            elif f:
                 lifted[i] = [(head * a - f * b) // prev for a, b in zip(row, prow)]
             elif head != prev:
                 lifted[i] = [head * a // prev for a in row]
@@ -768,38 +777,6 @@ def _rref_quadratic(rows, ncols, one):
         return _scalar((a * pu - dpv * b, b * pu - a * pv), norm, one)
 
     out = [[scalar(a, b) for a, b in zip(us, vs)] for us, vs in lifted[: len(pivots)]]
-    return out, pivots
-
-
-def _rref_residues(rows, ncols, one):
-    """Gauss-Jordan on residue ints modulo p."""
-    p = one.p
-    lifted = [ints for (ints,) in (_lift(row, one) for row in rows) if any(ints)]
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        for i in range(r, len(lifted)):
-            if lifted[i][c]:
-                break
-        else:
-            continue
-        lifted[r], lifted[i] = lifted[i], lifted[r]
-        prow = lifted[r]
-        if prow[c] != 1:
-            inv = pow(prow[c], -1, p)
-            prow = lifted[r] = [a * inv % p for a in prow]
-        for i, row in enumerate(lifted):
-            f = row[c]
-            if f and i != r:
-                lifted[i] = [(a - f * b) % p for a, b in zip(row, prow)]
-        pivots.append(c)
-        if len(pivots) == len(lifted):
-            break
-    zero = one - one
-    out = [
-        [one if x == 1 else _scalar(x, 1, one) if x else zero for x in row]
-        for row in lifted[: len(pivots)]
-    ]
     return out, pivots
 
 

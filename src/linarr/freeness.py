@@ -498,9 +498,10 @@ def _subfree(A: Arrangement, pair, idx, roots_b) -> CriterionEntry:
 def root_gap(A: Arrangement) -> CriterionEntry:
     """Freeness from the gap between real roots of chi.
 
-    Over characteristic zero, when the at-infinity restriction is
-    balanced with h > 2 centrals, the gap beta - alpha never exceeds
-    h - 2, and hitting h - 2 or h - 3 exactly certifies freeness.
+    Over characteristic zero, when the at-infinity restriction (one
+    central per parallel class, weighted by its size) is balanced with
+    h > 2 centrals, the gap beta - alpha never exceeds h - 2, and
+    hitting h - 2 or h - 3 exactly certifies freeness.
     """
     name = "root_gap"
     if A.field.characteristic != 0:
@@ -508,12 +509,11 @@ def root_gap(A: Arrangement) -> CriterionEntry:
     roots = A.char_poly().roots()
     if roots.classification == COMPLEX_CONJUGATE:
         return _inapplicable(name, "roots are complex")
-    M = ziegler_restriction(A)
-    if M.h <= 2:
-        return _inapplicable(name, "needs more than two direction classes", h=M.h)
-    if not M.is_balanced():
-        return _inapplicable(name, "restriction is unbalanced", h=M.h)
-    h = M.h
+    h = len(A.parallel_classes)
+    if h <= 2:
+        return _inapplicable(name, "needs more than two direction classes", h=h)
+    if 2 * max(len(idx) for _, idx in A.parallel_classes) > len(A):
+        return _inapplicable(name, "restriction is unbalanced", h=h)
     if roots.gap_cmp(h - 2) > 0:
         raise InvariantViolation(
             f"balanced root gap exceeded h - 2 = {h - 2}; the bound is a theorem"
@@ -648,7 +648,8 @@ def verify_root_window(A: Arrangement, externals=None) -> RootWindowReport:
 
     chi(A, count) >= 0 always; when A is free with integer roots
     (a, a+b), member counts lie in Z_{<=a} union {a+b} and external
-    counts in {a} union Z_{>=a+b}. Violations raise InvariantViolation.
+    counts in {a} union Z_{>=a+b}. Violations raise InvariantViolation,
+    and a member among the externals raises MembershipError.
     """
     chi = A.char_poly()
     externals = external_candidates(A) if externals is None else tuple(externals)
@@ -659,6 +660,8 @@ def verify_root_window(A: Arrangement, externals=None) -> RootWindowReport:
             )
     external_values = []
     for L in externals:
+        if L in A:
+            raise MembershipError(f"{L} is a member, not an external line")
         n_l = A.count_on_line(L)
         external_values.append(n_l)
         if chi.eval(n_l) < 0:

@@ -325,11 +325,13 @@ MEMBER_LOOKUPS = {
     "ziegler_restriction": ziegler_restriction,
     "deletion_pair": deletion_pair,
     "addition": addition,
+    "subarrangement": lambda A, which: A.subarrangement([which]),
+    "sub_char_poly": lambda A, which: A.sub_char_poly([which]),
 }
 
 
 @pytest.mark.parametrize("lookup", sorted(MEMBER_LOOKUPS))
-@pytest.mark.parametrize("which", ["len", -1, "non-member"])
+@pytest.mark.parametrize("which", ["len", -1, "non-member", -0.5, 1.9, True, "3"])
 def test_member_lookup_errors_agree(lookup, which):
     A = grid_with_diagonal()
     if which == "len":
@@ -341,10 +343,12 @@ def test_member_lookup_errors_agree(lookup, which):
     with pytest.raises(MembershipError) as raised:
         MEMBER_LOOKUPS[lookup](A, which)
     assert str(raised.value) == str(expected.value)
-    if not isinstance(which, int):
+    if isinstance(which, Line):
         assert str(raised.value).endswith("is not a member")
-    else:
+    elif type(which) is int:
         assert str(raised.value) == f"line index {which} out of range"
+    else:
+        assert str(raised.value) == f"{which!r} is not a Line or a line index"
 
 
 # --------------------------------------------------------- bracketing_sub
@@ -761,6 +765,13 @@ def test_root_window_reads_externals_from_a_generator():
     report = verify_root_window(A, externals)
     assert report.free and report.externals_checked == len(externals) == 99
     assert verify_root_window(A, (L for L in externals)) == report
+
+
+@pytest.mark.parametrize("name", ["squares_diagonals", "pentagon_r5"])
+def test_root_window_refuses_a_member_as_external(name):
+    A = ARRANGEMENT_FIXTURES[name]()
+    with pytest.raises(MembershipError, match="is a member, not an external line"):
+        verify_root_window(A, [A.lines[0]])
 
 
 # ------------------------------------------------------------- full battery
