@@ -836,6 +836,27 @@ def test_criteria_battery_digest():
     )
 
 
+def test_root_window_digest():
+    """The root window and root_incidence over candidate externals on the
+    400 arrangements of test_criteria_battery_digest, frozen by one
+    digest: member and external values, externals checked, freeness."""
+    fields = (Q, F5, Field.prime(7), Field.quadratic(2))
+    rng = random.Random("criteria battery digest")
+    digest = hashlib.sha256()
+    checked = 0
+    for k in range(400):
+        A = irrational(random_arrangement(rng, fields[k % 4], 10, min_lines=3))
+        w = verify_root_window(A)
+        entry = root_incidence(A, external_candidates(A))
+        row = (w.member_values, w.external_values, w.externals_checked, w.free)
+        digest.update(repr((format_arrangement(A), row, entry.as_record())).encode())
+        checked += w.externals_checked
+    assert checked == 34959
+    assert digest.hexdigest() == (
+        "511181ab341863ff17bd912a5e014787ff7cb621a7c5e6a3859a0c1632e71bde"
+    )
+
+
 @pytest.mark.parametrize("field", [Q, F3, F5, Field.prime(7), Field.quadratic(2)], ids=str)
 def test_sub_decisions_match_rebuilt_subarrangements(field, monkeypatch):
     """Each candidate B and each A minus H, decided from A's data, equals
