@@ -45,6 +45,7 @@ from .exactalg import (
     _lift,
     _lifted_mul,
     _shown,
+    _shown_int,
     record,
 )
 
@@ -53,6 +54,10 @@ AT_INFINITY = "infinity"
 # Entries kept by the exponents and exact-decision caches. A battery of
 # 4000 small run_criteria calls meets about 3300 distinct restrictions.
 CACHE_SIZE = 4096
+
+# Largest total multiplicity |m| of a .marr file: the dense constraint
+# matrices that exponents builds grow as |m|^2.
+MULTIPLICITY_CAP = 1024
 
 
 # -------------------------------------------------------- polynomial helpers
@@ -526,6 +531,10 @@ def parse_multiarrangement(text: str, path=None) -> Multiarrangement:
     """Parse the .marr format: a field header, then 'mline <a> <b> <mult>' rows."""
     duplicate = "duplicate central (same as mline on input line {})"
     field, items = parse_body(text, path, "mline", duplicate, _mline_row)
+    size = sum(m for _, m in items)
+    if size > MULTIPLICITY_CAP:
+        message = f"total multiplicity {_shown_int(size)} is above {MULTIPLICITY_CAP}"
+        raise ParseError(message, path=path)
     return Multiarrangement(field, [c for c, _ in items], [m for _, m in items])
 
 

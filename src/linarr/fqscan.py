@@ -37,9 +37,7 @@ from .freeness import (
 
 def _require_prime(field: Field) -> int:
     if field.kind != PRIME:
-        raise PreconditionError(
-            f"finite-plane scan needs a prime field, not {field.kind}"
-        )
+        raise PreconditionError(f"finite-plane scan needs a prime field, not {field.kind}")
     return field.p
 
 
@@ -104,33 +102,31 @@ class PlaneEnumeration(_Frozen):
 
 
 def _complement(A: Arrangement):
-    """A's plane, its non-member lines and its points on no member, as indices."""
+    """A's plane, its points on no member, and the number of those points
+    on each non-member line (line id -> count, in id order), as indices.
+    The points are counted against chi(A, p); a mismatch raises."""
     plane = PlaneEnumeration(_require_prime(A.field))
     members = {plane.line_ids[line] for line in A.lines}
     covered = {k for i in members for k in plane.on_line[i]}
-    externals = [i for i in range(len(plane.lines)) if i not in members]
-    return plane, externals, [k for k in range(len(plane.points)) if k not in covered]
+    free = [k for k in range(len(plane.points)) if k not in covered]
+    count, expected = len(free), A.char_poly().eval(plane.p)
+    if count != expected:
+        raise InvariantViolation(f"complement has {count} points but chi({plane.p}) = {expected}")
+    tally = Counter(i for k in free for i in plane.through[k])
+    touched = {i: tally[i] for i in range(len(plane.lines)) if i not in members}
+    return plane, free, touched
 
 
 def complement_points(A: Arrangement) -> tuple:
     """Plane points lying on no member line, read off the incidence table."""
-    plane, _, free = _complement(A)
+    plane, free, _ = _complement(A)
     return tuple(plane.points[k] for k in free)
 
 
 def complement_count(A: Arrangement) -> int:
-    """Number of plane points avoiding every member, by enumeration.
-
-    Always equals the characteristic polynomial evaluated at p; the
-    equality is asserted, so a mismatch raises instead of returning.
-    """
-    count = len(complement_points(A))
-    expected = A.char_poly().eval(A.field.p)
-    if count != expected:
-        raise InvariantViolation(
-            f"complement has {count} points but chi({A.field.p}) = {expected}"
-        )
-    return count
+    """Number of plane points avoiding every member, by enumeration. It
+    always equals chi(A, p); a mismatch raises instead of returning."""
+    return len(_complement(A)[1])
 
 
 # ------------------------------------------------------------ line spectra
@@ -169,11 +165,10 @@ def line_spectrum(A: Arrangement) -> LineSpectrum:
     in its points outside the complement, so it counts p minus the
     complement points on it.
     """
-    plane, external_ids, free = _complement(A)
+    plane, _, touched = _complement(A)
     p = plane.p
     members = Counter(A.n_counts)
-    touched = Counter(i for k in free for i in plane.through[k])
-    externals = Counter(p - touched[i] for i in external_ids)
+    externals = Counter(p - n for n in touched.values())
     if sum(members.values()) != len(A) or sum(externals.values()) != p * p + p - len(A):
         raise InvariantViolation("spectrum buckets do not add up to the whole plane")
     return LineSpectrum(tuple(sorted(members.items())), tuple(sorted(externals.items())))
@@ -259,15 +254,10 @@ def order_minus_one_root(A: Arrangement) -> CriterionEntry:
         # r = p - d2 can never leave [0, p]
         raise InvariantViolation(f"chi({p}) = {r} outside [0, {p}] with root {p - 1}")
 
-    plane, external_ids, free = _complement(A)
-    if len(free) != r:
-        raise InvariantViolation(f"complement has {len(free)} points but chi({p}) = {r}")
-    touched = Counter(i for k in free for i in plane.through[k])
-    i = next((i for i in external_ids if touched[i] == 1), None)
+    plane, _, touched = _complement(A)
+    i = next((i for i, n in touched.items() if n == 1), None)
     if i is None:
-        raise InvariantViolation(
-            f"no external line through exactly one of {r} complement points"
-        )
+        raise InvariantViolation(f"no external line through exactly one of {r} complement points")
     # a line misses the complement in all but one point exactly when it
     # meets the union of members in p - 1 points
     witness = plane.lines[i]

@@ -13,12 +13,14 @@ one of the two computations rather than a mathematical possibility.
 run_criteria walks the candidate subarrangements B once, reading A's
 integer roots and each chi(B)'s roots once for all four subarrangement
 criteria; without integer roots it walks none, as every B would be
-inapplicable. It builds root_incidence's candidate external lines only
-when that criterion reaches them: when A's roots are an integer pair and
-no member count is one of them. external_candidates finds and dedupes
-those lines on integer line keys (see exactalg for their form), with
-membership read off the members' own keys, and builds one Line per
-distinct candidate.
+inapplicable.
+
+root_incidence, run_criteria and verify_root_window take `externals`,
+the external lines to count. None means external_candidates(A), built
+only when the check reaches them; a member among supplied externals
+raises MembershipError before anything is counted. external_candidates
+dedupes its lines on integer line keys (see exactalg), with membership
+read off the members' own keys, and builds one Line per candidate.
 
 The exact decisions of A minus H (addition) and of a candidate B are
 read off A's own data, and no Arrangement is built for them: chi(B)
@@ -183,6 +185,15 @@ def _integer_roots(A: Arrangement):
     return roots.low, roots.high
 
 
+def _external_lines(A: Arrangement, externals) -> tuple:
+    """Supplied externals as a tuple; a member among them raises."""
+    externals = tuple(externals)
+    for L in externals:
+        if L in A:
+            raise MembershipError(f"{L} is a member, not an external line")
+    return externals
+
+
 def _member_witness(A: Arrangement, values) -> int | None:
     for i, n_h in enumerate(A.n_counts):
         if n_h in values:
@@ -253,12 +264,15 @@ def _sub_criterion(name: str, check, A: Arrangement, sub_indices):
 def root_incidence(A: Arrangement, externals=()) -> CriterionEntry:
     """Freeness from a single incidence count hitting a root of chi.
 
-    With integer roots a <= a+b, any line H (member or supplied
-    external) with count in {a, a+b} certifies freeness. Finding no
-    such line concludes nothing.
+    With integer roots a <= a+b, any line H (member or external) with
+    count in {a, a+b} certifies freeness; finding none concludes nothing.
+    externals: none by default, and for None external_candidates(A),
+    built once no member count is a root. A member among supplied
+    externals raises MembershipError before anything is counted.
     """
     name = "root_incidence"
-    externals = tuple(externals)
+    if externals is not None:
+        externals = _external_lines(A, externals)
     pair = _integer_roots(A)
     if pair is None:
         return _inapplicable(
@@ -275,9 +289,9 @@ def root_incidence(A: Arrangement, externals=()) -> CriterionEntry:
             FREE,
             {"member": witness, "count": A.n_counts[witness], "roots": [a, ab]},
         )
+    if externals is None:
+        externals = external_candidates(A)
     for L in externals:
-        if L in A:
-            raise MembershipError(f"{L} is a member, not an external line")
         n_l = A.count_on_line(L)
         if n_l in (a, ab):
             return CriterionEntry(
@@ -644,48 +658,42 @@ def external_candidates(A: Arrangement) -> tuple:
 
 
 def verify_root_window(A: Arrangement, externals=None) -> RootWindowReport:
-    """Assert the root-window facts on members and candidate externals.
+    """Assert the root-window facts on members and external lines.
 
     chi(A, count) >= 0 always; when A is free with integer roots
     (a, a+b), member counts lie in Z_{<=a} union {a+b} and external
-    counts in {a} union Z_{>=a+b}. Violations raise InvariantViolation,
-    and a member among the externals raises MembershipError.
+    counts in {a} union Z_{>=a+b}. Violations raise InvariantViolation.
+    externals: external_candidates(A) for None. A member among supplied
+    externals raises MembershipError before anything is counted.
     """
+    externals = external_candidates(A) if externals is None else _external_lines(A, externals)
     chi = A.char_poly()
-    externals = external_candidates(A) if externals is None else tuple(externals)
+    cert = decide_free(A)
+    a, ab = cert.exponents or (None, None)
     for i, n_h in enumerate(A.n_counts):
         if chi.eval(n_h) < 0:
+            raise InvariantViolation(f"chi(A, n_H) = {chi.eval(n_h)} < 0 at member {i}")
+        if cert.is_free and not (n_h <= a or n_h == ab):
             raise InvariantViolation(
-                f"chi(A, n_H) = {chi.eval(n_h)} < 0 at member {i}"
+                f"free arrangement has member count {n_h} outside "
+                f"Z_<={a} and {{{ab}}}"
             )
-    external_values = []
+    external_values = set()
     for L in externals:
-        if L in A:
-            raise MembershipError(f"{L} is a member, not an external line")
         n_l = A.count_on_line(L)
-        external_values.append(n_l)
         if chi.eval(n_l) < 0:
             raise InvariantViolation(
                 f"chi(A, n_L) = {chi.eval(n_l)} < 0 at external {_line_text(A, L)}"
             )
-    cert = decide_free(A)
-    if cert.is_free:
-        a, ab = cert.exponents
-        for i, n_h in enumerate(A.n_counts):
-            if not (n_h <= a or n_h == ab):
-                raise InvariantViolation(
-                    f"free arrangement has member count {n_h} outside "
-                    f"Z_<={a} and {{{ab}}}"
-                )
-        for L, n_l in zip(externals, external_values):
-            if not (n_l == a or n_l >= ab):
-                raise InvariantViolation(
-                    f"free arrangement has external count {n_l} outside "
-                    f"{{{a}}} and Z_>={ab}"
-                )
+        if cert.is_free and not (n_l == a or n_l >= ab):
+            raise InvariantViolation(
+                f"free arrangement has external count {n_l} outside "
+                f"{{{a}}} and Z_>={ab}"
+            )
+        external_values.add(n_l)
     return RootWindowReport(
         member_values=tuple(sorted(set(A.n_counts))),
-        external_values=tuple(sorted(set(external_values))),
+        external_values=tuple(sorted(external_values)),
         externals_checked=len(externals),
         free=cert.is_free,
     )
@@ -739,16 +747,13 @@ def run_criteria(A: Arrangement, externals=None) -> CriterionReport:
     """Evaluate every criterion with automatically chosen inputs and
     hard-check each conclusion against the exact verdict.
 
-    externals defaults to external_candidates(A), built only when
-    root_incidence reaches them: A's roots are an integer pair and no
-    member count is one of them. Otherwise root_incidence returns
-    before reading any external, so none is built.
+    externals go to root_incidence: None means external_candidates(A),
+    built only once A's roots are an integer pair and no member count is
+    one of them. A member among supplied externals raises
+    MembershipError before anything is counted.
     """
     cert = decide_free(A)
     pair = _integer_roots(A)
-    if externals is None:
-        reached = pair is not None and _member_witness(A, pair) is None
-        externals = external_candidates(A) if reached else ()
     # without integer roots every candidate is inapplicable to every
     # subarrangement criterion, so none is walked
     records = () if pair is None else tuple(

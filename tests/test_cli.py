@@ -41,6 +41,14 @@ def test_overlong_token_error_line_is_short(capsys, tmp_path, monkeypatch):
     assert "long.arr:2:10: bad rational '" + "9" * 32 + "…' (5000 chars)" in line
 
 
+def test_exponents_rejects_total_multiplicity_above_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.marr").write_text("field F 101\nmline 1 0 1000000\n")
+    rc, out, err = run(capsys, "exponents", "big.marr")
+    assert (rc, out) == (1, [])
+    assert err == "error: big.marr: total multiplicity 1000000 is above 1024\n"
+
+
 def test_chi_text(capsys):
     rc, out, _ = run(capsys, "chi", path("squares_diagonals.arr"))
     assert rc == 0

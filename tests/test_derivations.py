@@ -32,6 +32,7 @@ from linarr import derivations, exactalg
 from linarr.arrangement import Arrangement, normalize_direction
 from linarr.derivations import (
     AT_INFINITY,
+    MULTIPLICITY_CAP,
     HomDerivation,
     Multiarrangement,
     _constraint_rows,
@@ -948,6 +949,17 @@ def test_parse_multiarrangement_errors():
     assert e.line == 3 and "input line 2" in e.message
     e = err("field Q\nline 1 0 1\n")
     assert "unknown directive" in e.message
+
+
+def test_parse_multiarrangement_caps_total_multiplicity():
+    at_cap = "field F 101\nmline 1 0 1022\nmline 0 1 1\nmline 1 1 1\n"
+    assert parse_multiarrangement(at_cap).size == MULTIPLICITY_CAP == 1024
+    over = at_cap.replace("mline 1 1 1", "mline 1 1 2")
+    with pytest.raises(ParseError) as info:
+        parse_multiarrangement(over, path="m.marr")
+    assert str(info.value) == "m.marr: total multiplicity 1025 is above 1024"
+    with pytest.raises(ParseError, match="total multiplicity 1000000 is above 1024"):
+        parse_multiarrangement("field F 101\nmline 1 0 1000000\n")
 
 
 def test_marr_round_trip():

@@ -213,9 +213,22 @@ def test_root_incidence_needs_integer_roots():
 
 
 def test_root_incidence_rejects_member_as_external():
-    A = ARRANGEMENT_FIXTURES["pentagon_r5"]()
-    with pytest.raises(MembershipError):
-        root_incidence(A, (A.lines[0],))
+    # a squares_diagonals member count is a root, so the member is
+    # refused before any count is read, not only on reaching the externals
+    for name in ("pentagon_r5", "squares_diagonals"):
+        A = ARRANGEMENT_FIXTURES[name]()
+        with pytest.raises(MembershipError, match="is a member, not an external line"):
+            root_incidence(A, (A.lines[0],))
+        with pytest.raises(MembershipError, match="is a member, not an external line"):
+            run_criteria(A, [A.lines[0]])
+
+
+def test_root_incidence_builds_candidates_for_none():
+    for name in fixture_names():
+        if name.endswith(".arr"):
+            A = load_arrangement(fixture_path(name))
+            expected = root_incidence(A, external_candidates(A))
+            assert root_incidence(A, None) == expected, name
 
 
 # ------------------------------------------------- deletion_pair, addition
@@ -837,9 +850,10 @@ def test_criteria_battery_digest():
 
 
 def test_root_window_digest():
-    """The root window and root_incidence over candidate externals on the
-    400 arrangements of test_criteria_battery_digest, frozen by one
-    digest: member and external values, externals checked, freeness."""
+    """The root window and root_incidence with candidate externals on
+    the 400 arrangements of test_criteria_battery_digest, frozen by one
+    digest: member and external values, externals checked, freeness.
+    Recorded with root_incidence(A, external_candidates(A))."""
     fields = (Q, F5, Field.prime(7), Field.quadratic(2))
     rng = random.Random("criteria battery digest")
     digest = hashlib.sha256()
@@ -847,7 +861,7 @@ def test_root_window_digest():
     for k in range(400):
         A = irrational(random_arrangement(rng, fields[k % 4], 10, min_lines=3))
         w = verify_root_window(A)
-        entry = root_incidence(A, external_candidates(A))
+        entry = root_incidence(A, None)
         row = (w.member_values, w.external_values, w.externals_checked, w.free)
         digest.update(repr((format_arrangement(A), row, entry.as_record())).encode())
         checked += w.externals_checked
