@@ -234,9 +234,8 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0):
         raise InvariantViolation(f"b2 = {claimed.b2} outside [0, {cap}]")
     checks.append("b2-range")
 
-    for i in range(n):
+    for i, n_h in enumerate(A.n_counts):
         sub = A.delete(i).char_poly()
-        n_h = A.n_counts[i]
         if claimed.n != sub.n + 1 or claimed.b2 != sub.b2 + n_h:
             raise InvariantViolation(
                 f"deletion-restriction fails at member {i}: "

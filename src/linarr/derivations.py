@@ -55,8 +55,7 @@ AT_INFINITY = "infinity"
 # 4000 small run_criteria calls meets about 3300 distinct restrictions.
 CACHE_SIZE = 4096
 
-# Largest total multiplicity |m| of a .marr file: the dense constraint
-# matrices that exponents builds grow as |m|^2.
+# Largest total multiplicity |m| of a .marr file; exponents' dense matrices grow as |m|^2.
 MULTIPLICITY_CAP = 1024
 
 

@@ -102,9 +102,8 @@ class PlaneEnumeration(_Frozen):
 
 
 def _complement(A: Arrangement):
-    """A's plane, its points on no member, and the number of those points
-    on each non-member line (line id -> count, in id order), as indices.
-    The points are counted against chi(A, p); a mismatch raises."""
+    """A's plane, its member line ids and its points on no member, as
+    indices. The points are counted against chi(A, p); a mismatch raises."""
     plane = PlaneEnumeration(_require_prime(A.field))
     members = {plane.line_ids[line] for line in A.lines}
     covered = {k for i in members for k in plane.on_line[i]}
@@ -112,21 +111,25 @@ def _complement(A: Arrangement):
     count, expected = len(free), A.char_poly().eval(plane.p)
     if count != expected:
         raise InvariantViolation(f"complement has {count} points but chi({plane.p}) = {expected}")
+    return plane, members, free
+
+
+def _touched(A: Arrangement):
+    """A's plane, and its complement points on each non-member line (id -> count)."""
+    plane, members, free = _complement(A)
     tally = Counter(i for k in free for i in plane.through[k])
-    touched = {i: tally[i] for i in range(len(plane.lines)) if i not in members}
-    return plane, free, touched
+    return plane, {i: tally[i] for i in range(len(plane.lines)) if i not in members}
 
 
 def complement_points(A: Arrangement) -> tuple:
     """Plane points lying on no member line, read off the incidence table."""
-    plane, free, _ = _complement(A)
+    plane, _, free = _complement(A)
     return tuple(plane.points[k] for k in free)
 
 
 def complement_count(A: Arrangement) -> int:
-    """Number of plane points avoiding every member, by enumeration. It
-    always equals chi(A, p); a mismatch raises instead of returning."""
-    return len(_complement(A)[1])
+    """Number of plane points on no member, by enumeration; asserted equal to chi(A, p)."""
+    return len(_complement(A)[2])
 
 
 # ------------------------------------------------------------ line spectra
@@ -165,7 +168,7 @@ def line_spectrum(A: Arrangement) -> LineSpectrum:
     in its points outside the complement, so it counts p minus the
     complement points on it.
     """
-    plane, _, touched = _complement(A)
+    plane, touched = _touched(A)
     p = plane.p
     members = Counter(A.n_counts)
     externals = Counter(p - n for n in touched.values())
@@ -254,7 +257,7 @@ def order_minus_one_root(A: Arrangement) -> CriterionEntry:
         # r = p - d2 can never leave [0, p]
         raise InvariantViolation(f"chi({p}) = {r} outside [0, {p}] with root {p - 1}")
 
-    plane, _, touched = _complement(A)
+    plane, touched = _touched(A)
     i = next((i for i, n in touched.items() if n == 1), None)
     if i is None:
         raise InvariantViolation(f"no external line through exactly one of {r} complement points")
