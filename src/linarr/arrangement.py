@@ -88,6 +88,20 @@ def normalize_direction(field: Field, a, b) -> tuple:
     return (a, b)
 
 
+def _checked_triple(field: Field, line) -> tuple:
+    """The coerced (a, b, c) of a supplied Line; a non-Line, a degenerate
+    or an unnormalized row raises PreconditionError."""
+    if not isinstance(line, Line):
+        raise PreconditionError(f"expected a Line, got {line!r}")
+    coerce = field.coerce
+    a, b, c = coerce(line.a), coerce(line.b), coerce(line.c)
+    if not a and not b:
+        raise PreconditionError("not a line: a and b are both zero")
+    if (a if a else b) != field.one:
+        raise PreconditionError(f"line {line} is not normalized")
+    return a, b, c
+
+
 @record
 class IncidencePoint:
     """Intersection point together with the indices of all lines through it."""
@@ -285,18 +299,9 @@ class Arrangement(_Frozen):
 
     def __init__(self, field: Field, lines):
         index: dict[Line, int] = {}
-        coerce, one = field.coerce, field.one
         for i, line in enumerate(lines):
-            if not isinstance(line, Line):
-                raise PreconditionError(f"expected a Line, got {line!r}")
-            # coerce to catch hand-built unnormalized triples; store canon,
-            # since an equal triple of plain ints hashes differently
-            a, b, c = coerce(line.a), coerce(line.b), coerce(line.c)
-            if not a and not b:
-                raise PreconditionError("not a line: a and b are both zero")
-            if (a if a else b) != one:
-                raise PreconditionError(f"line {line} is not normalized")
-            canon = Line(a, b, c)
+            # store canon, since an equal triple of plain ints hashes differently
+            canon = Line(*_checked_triple(field, line))
             if canon in index:
                 raise PreconditionError(f"duplicate line {line}")
             index[canon] = i
@@ -407,10 +412,11 @@ class Arrangement(_Frozen):
 
         Defined for members and non-members alike. A member meets itself
         with a zero determinant, like a parallel line, so it adds no key.
+        A line that is not a normalized Line raises PreconditionError.
         """
         field = self.field
         join, param = _JOIN[field.kind], field.d or field.p
-        mine = _key([field.coerce(t) for t in (line.a, line.b, line.c)], field.one)
+        mine = _key(_checked_triple(field, line), field.one)
         keys = {join(mine, other, 2, param) for other in self._keys}
         keys.discard(None)
         return len(keys)

@@ -34,7 +34,7 @@ from .derivations import (
     ziegler_restriction,
 )
 from .errors import InvariantViolation, LinarrError, ParseError, PreconditionError
-from .exactalg import PRIME, _RE_INT, _shown
+from .exactalg import PRIME, _RE_INT, _shown, _shown_int
 from .freeness import (
     PLANE_PRIME_CAP,
     decide_free,
@@ -231,7 +231,7 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0):
 
     cap = n * (n - 1) // 2
     if not 0 <= claimed.b2 <= cap:
-        raise InvariantViolation(f"b2 = {claimed.b2} outside [0, {cap}]")
+        raise InvariantViolation(f"b2 = {_shown_int(claimed.b2)} outside [0, {cap}]")
     checks.append("b2-range")
 
     for i, n_h in enumerate(A.n_counts):
@@ -239,7 +239,7 @@ def run_verify(A: Arrangement, corrupt_b2: int = 0):
         if claimed.n != sub.n + 1 or claimed.b2 != sub.b2 + n_h:
             raise InvariantViolation(
                 f"deletion-restriction fails at member {i}: "
-                f"b2 = {claimed.b2}, deleted b2 = {sub.b2}, n_H = {n_h}"
+                f"b2 = {_shown_int(claimed.b2)}, deleted b2 = {_shown_int(sub.b2)}, n_H = {n_h}"
             )
     checks.append("deletion-restriction")
 

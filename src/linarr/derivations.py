@@ -221,16 +221,6 @@ class Multiarrangement(_Frozen):
         object.__setattr__(self, "_item_set", item_set)
         object.__setattr__(self, "_hash", hash((field, item_set)))
 
-    @classmethod
-    def from_pairs(cls, field: Field, weighted) -> "Multiarrangement":
-        """Build from (a, b, multiplicity) triples."""
-        weighted = list(weighted)
-        return cls(
-            field,
-            [(a, b) for a, b, _ in weighted],
-            [m for _, _, m in weighted],
-        )
-
     @property
     def size(self) -> int:
         """|m|, the sum of all multiplicities."""

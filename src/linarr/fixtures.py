@@ -1,18 +1,37 @@
 """Reference arrangements shipped with the package.
 
-Each constructor builds the arrangement programmatically; the .arr
-files under linarr/fixtures/ are the canonical serializations of the
-same objects and the test suite keeps the two in sync. Use
-fixture_path(name) to locate a shipped file on disk.
+Each .arr or .marr file under linarr/fixtures/ is the one definition of
+its fixture, and ARRANGEMENT_FIXTURES or MULTIARRANGEMENT_FIXTURES maps
+its stem to a loader: ARRANGEMENT_FIXTURES["pencil3"]() parses pencil3.arr.
+pencil(n, field), pentagon_sqrt5() and f3_all() build three of them from
+a rule other than their rows, as references the files are checked against.
+
+- pencil3 to pencil8: n concurrent lines through the origin, distinct slopes.
+- star7_transversal_r2: seven concurrent lines (two of sqrt(2) slope) and y = 1.
+- star7_transversal_q: its rational twin, the same lattice with plain slopes.
+- squares_diagonals: the walls x, y in {-1, 0, 1} plus both diagonal bundles.
+- pentagon_r5: edges and diagonals of an affine-regular pentagon over Q(sqrt 5).
+- subfree_gap_a: two horizontals crossing a six-fold star; free, exponents (3, 5).
+- subfree_gap_b: six of subfree_gap_a's lines; chi is (t-3)^2, yet not free.
+- subfree_gap_c: the four-fold star shared by subfree_gap_a and subfree_gap_b.
+- f3_three: {x, x - 1, y} over F_3; the complement has two points.
+- f3_pencil: all four lines through the origin of F_3^2.
+- f3_all: every line of the plane over F_3.
+- m3333: the four directions of squares_diagonals, each of multiplicity 3.
+- xy_m22: x and y, each of multiplicity 2.
+- xy_m51: x of multiplicity 5 and y of multiplicity 1.
+- triple_simple: {x, y, x - y}, all of multiplicity 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from importlib import resources
+from itertools import combinations
 
-from .arrangement import Arrangement, line_through
-from .derivations import Multiarrangement
+from .arrangement import Arrangement, line_through, load_arrangement
+from .derivations import load_multiarrangement
 from .exactalg import Field, Quad
 
 Q = Field.rationals()
@@ -32,51 +51,6 @@ def pencil(n: int, field: Field | None = None) -> Arrangement:
     return Arrangement.from_triples(field, triples)
 
 
-def star7_transversal_sqrt2() -> Arrangement:
-    """Seven concurrent lines (two with sqrt(2) slope) plus the transversal y = 1."""
-    field = Field.quadratic(2)
-    half_r2 = Quad(0, Fraction(1, 2), 2)
-    triples = [
-        (1, 0, 0),
-        (1, -1, 0),
-        (1, 1, 0),
-        (1, -2, 0),
-        (1, 2, 0),
-        (1, -half_r2, 0),
-        (1, half_r2, 0),
-        (0, 1, -1),
-    ]
-    return Arrangement.from_triples(field, triples)
-
-
-def star7_transversal_q() -> Arrangement:
-    """Rational twin of star7_transversal_sqrt2: same lattice, plain slopes."""
-    triples = [(1, 0, 0)]
-    for k in (1, -1, 2, -2, 3, -3):
-        triples.append((1, Fraction(-1, k), 0))
-    triples.append((0, 1, -1))
-    return Arrangement.from_triples(Q, triples)
-
-
-def squares_diagonals() -> Arrangement:
-    """Twelve lines: x, y in {-1, 0, 1} walls plus both diagonal bundles."""
-    triples = [
-        (1, 0, 0),
-        (0, 1, 0),
-        (1, 0, -1),
-        (1, 0, 1),
-        (0, 1, -1),
-        (0, 1, 1),
-        (1, 1, 0),
-        (1, -1, 0),
-        (1, 1, 1),
-        (1, 1, -1),
-        (1, -1, 1),
-        (1, -1, -1),
-    ]
-    return Arrangement.from_triples(Q, triples)
-
-
 def pentagon_sqrt5() -> Arrangement:
     """Edges and diagonals of an affine-regular pentagon over Q(sqrt 5)."""
     field = Field.quadratic(5)
@@ -92,64 +66,7 @@ def pentagon_sqrt5() -> Arrangement:
         (s(Fraction(-1, 4), Fraction(-1, 4)), s(Fraction(1, 2), Fraction(-1, 2))),
         (s(Fraction(-1, 4), Fraction(1, 4)), s(-1, 0)),
     ]
-    lines = []
-    for i in range(5):
-        for j in range(i + 1, 5):
-            lines.append(line_through(field, vertices[i], vertices[j]))
-    return Arrangement(field, lines)
-
-
-def subfree_gap_a() -> Arrangement:
-    """Eight lines, free with exponents (3, 5): two horizontals crossing a six-fold star."""
-    triples = [
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 1, -1),
-        (0, 1, 1),
-        (1, -2, 0),
-        (1, 2, 0),
-        (1, -3, 0),
-        (1, 3, 0),
-    ]
-    return Arrangement.from_triples(Q, triples)
-
-
-def subfree_gap_b() -> Arrangement:
-    """Six of the subfree_gap_a lines; chi is (t-3)^2 yet the arrangement is not free."""
-    triples = [
-        (1, 0, 0),
-        (0, 1, -1),
-        (1, -2, 0),
-        (1, 2, 0),
-        (1, -3, 0),
-        (1, 3, 0),
-    ]
-    return Arrangement.from_triples(Q, triples)
-
-
-def subfree_gap_c() -> Arrangement:
-    """The four-fold star shared by subfree_gap_a and subfree_gap_b."""
-    triples = [
-        (1, -2, 0),
-        (1, 2, 0),
-        (1, -3, 0),
-        (1, 3, 0),
-    ]
-    return Arrangement.from_triples(Q, triples)
-
-
-def f3_three() -> Arrangement:
-    """{x, x - 1, y} over F_3; the complement has two points."""
-    field = Field.prime(3)
-    return Arrangement.from_triples(field, [(1, 0, 0), (1, 0, 2), (0, 1, 0)])
-
-
-def f3_pencil() -> Arrangement:
-    """All four lines through the origin of F_3^2."""
-    field = Field.prime(3)
-    return Arrangement.from_triples(
-        field, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)]
-    )
+    return Arrangement(field, [line_through(field, p, q) for p, q in combinations(vertices, 2)])
 
 
 def f3_all() -> Arrangement:
@@ -158,54 +75,6 @@ def f3_all() -> Arrangement:
     triples = [(1, b, c) for b in range(3) for c in range(3)]
     triples += [(0, 1, c) for c in range(3)]
     return Arrangement.from_triples(field, triples)
-
-
-ARRANGEMENT_FIXTURES = {
-    "pencil3": lambda: pencil(3),
-    "pencil4": lambda: pencil(4),
-    "pencil5": lambda: pencil(5),
-    "pencil6": lambda: pencil(6),
-    "pencil7": lambda: pencil(7),
-    "pencil8": lambda: pencil(8),
-    "star7_transversal_r2": star7_transversal_sqrt2,
-    "star7_transversal_q": star7_transversal_q,
-    "squares_diagonals": squares_diagonals,
-    "pentagon_r5": pentagon_sqrt5,
-    "subfree_gap_a": subfree_gap_a,
-    "subfree_gap_b": subfree_gap_b,
-    "subfree_gap_c": subfree_gap_c,
-    "f3_three": f3_three,
-    "f3_pencil": f3_pencil,
-    "f3_all": f3_all,
-}
-
-
-def m3333() -> Multiarrangement:
-    """The four directions of squares_diagonals, each with multiplicity 3."""
-    return Multiarrangement.from_pairs(
-        Q, [(1, 0, 3), (0, 1, 3), (1, 1, 3), (1, -1, 3)]
-    )
-
-
-def xy_m22() -> Multiarrangement:
-    return Multiarrangement.from_pairs(Q, [(1, 0, 2), (0, 1, 2)])
-
-
-def xy_m51() -> Multiarrangement:
-    return Multiarrangement.from_pairs(Q, [(1, 0, 5), (0, 1, 1)])
-
-
-def triple_simple() -> Multiarrangement:
-    """{x, y, x - y} with all multiplicities 1."""
-    return Multiarrangement.from_pairs(Q, [(1, 0, 1), (0, 1, 1), (1, -1, 1)])
-
-
-MULTIARRANGEMENT_FIXTURES = {
-    "m3333": m3333,
-    "xy_m22": xy_m22,
-    "xy_m51": xy_m51,
-    "triple_simple": triple_simple,
-}
 
 
 def fixture_path(name: str):
@@ -221,3 +90,13 @@ def fixture_names() -> list[str]:
         for entry in root.iterdir()
         if entry.name.endswith((".arr", ".marr"))
     )
+
+
+def _loaders(ext: str, load) -> dict:
+    """Stem to loader for every shipped file <stem>.<ext>."""
+    split = (name.rpartition(".") for name in fixture_names())
+    return {stem: partial(load, fixture_path(f"{stem}.{ext}")) for stem, _, e in split if e == ext}
+
+
+ARRANGEMENT_FIXTURES = _loaders("arr", load_arrangement)
+MULTIARRANGEMENT_FIXTURES = _loaders("marr", load_multiarrangement)

@@ -43,6 +43,7 @@ from .arrangement import (
     TWO_INTEGER,
     Arrangement,
     Line,
+    _checked_triple,
 )
 from .derivations import (
     AT_INFINITY,
@@ -186,8 +187,9 @@ def _integer_roots(A: Arrangement):
 
 
 def _external_lines(A: Arrangement, externals) -> tuple:
-    """Supplied externals as a tuple; a member among them raises."""
-    externals = tuple(externals)
+    """Supplied externals as a tuple of canonical Lines. One that is not
+    a normalized Line raises PreconditionError, a member MembershipError."""
+    externals = tuple(Line(*_checked_triple(A.field, L)) for L in externals)
     for L in externals:
         if L in A:
             raise MembershipError(f"{L} is a member, not an external line")
@@ -261,14 +263,15 @@ def _sub_criterion(name: str, check, A: Arrangement, sub_indices):
 # ---------------------------------------------------------------- criteria
 
 
-def root_incidence(A: Arrangement, externals=()) -> CriterionEntry:
+def root_incidence(A: Arrangement, externals=None) -> CriterionEntry:
     """Freeness from a single incidence count hitting a root of chi.
 
     With integer roots a <= a+b, any line H (member or external) with
     count in {a, a+b} certifies freeness; finding none concludes nothing.
-    externals: none by default, and for None external_candidates(A),
-    built once no member count is a root. A member among supplied
-    externals raises MembershipError before anything is counted.
+    externals: external_candidates(A) for None, built once no member
+    count is a root; () counts none. Before anything is counted, a
+    supplied external raises PreconditionError unless it is a
+    normalized Line, and MembershipError if it is a member.
     """
     name = "root_incidence"
     if externals is not None:
@@ -663,8 +666,8 @@ def verify_root_window(A: Arrangement, externals=None) -> RootWindowReport:
     chi(A, count) >= 0 always; when A is free with integer roots
     (a, a+b), member counts lie in Z_{<=a} union {a+b} and external
     counts in {a} union Z_{>=a+b}. Violations raise InvariantViolation.
-    externals: external_candidates(A) for None. A member among supplied
-    externals raises MembershipError before anything is counted.
+    externals: external_candidates(A) for None; supplied ones are
+    checked as in root_incidence.
     """
     externals = external_candidates(A) if externals is None else _external_lines(A, externals)
     chi = A.char_poly()
@@ -749,8 +752,7 @@ def run_criteria(A: Arrangement, externals=None) -> CriterionReport:
 
     externals go to root_incidence: None means external_candidates(A),
     built only once A's roots are an integer pair and no member count is
-    one of them. A member among supplied externals raises
-    MembershipError before anything is counted.
+    one of them, and supplied ones are checked as in root_incidence.
     """
     cert = decide_free(A)
     pair = _integer_roots(A)

@@ -29,12 +29,6 @@ from linarr.fixtures import (
     MULTIARRANGEMENT_FIXTURES,
     pencil,
     pentagon_sqrt5,
-    squares_diagonals,
-    star7_transversal_q,
-    star7_transversal_sqrt2,
-    subfree_gap_a,
-    subfree_gap_b,
-    subfree_gap_c,
 )
 from linarr.fqscan import (
     complement_count,
@@ -101,7 +95,8 @@ def test_criterion_1_pencils():
 
 def test_criterion_2_star_transversal_twins():
     def impl():
-        for A in (star7_transversal_sqrt2(), star7_transversal_q()):
+        for name in ("star7_transversal_r2", "star7_transversal_q"):
+            A = ARRANGEMENT_FIXTURES[name]()
             chi = A.char_poly()
             assert chi == CharPoly(8, 13)
             roots = chi.roots()
@@ -126,7 +121,7 @@ def test_criterion_2_star_transversal_twins():
 def test_criterion_3_squares_diagonals():
     def impl():
         start = perf_counter()
-        A = squares_diagonals()
+        A = ARRANGEMENT_FIXTURES["squares_diagonals"]()
         chi = A.char_poly()
         assert chi.factored_str() == "(t-5)(t-7)"
         assert set(A.n_counts) == {3, 5}
@@ -172,7 +167,7 @@ def test_criterion_4_pentagon():
 
 def test_criterion_5_subfree_gap_triple():
     def impl():
-        A, B, C = subfree_gap_a(), subfree_gap_b(), subfree_gap_c()
+        A, B, C = (ARRANGEMENT_FIXTURES[f"subfree_gap_{x}"]() for x in "abc")
         assert decide_free(A).exponents == (3, 5)
         assert decide_free(C).exponents == (1, 3)
         assert B.char_poly() == CharPoly(6, 9)

@@ -36,13 +36,7 @@ from linarr.arrangement import (
 from linarr.derivations import parse_multiarrangement
 from linarr.errors import MembershipError, ParseError, PreconditionError
 from linarr.exactalg import PRIMALITY_CAP, SQUAREFREE_CAP, Field, Quad, _key, _key_scalars
-from linarr.fixtures import (
-    f3_all,
-    pencil,
-    squares_diagonals,
-    star7_transversal_q,
-    star7_transversal_sqrt2,
-)
+from linarr.fixtures import ARRANGEMENT_FIXTURES, f3_all, pencil
 from linarr.freeness import run_criteria, verify_root_window
 
 F3 = Field.prime(3)
@@ -136,15 +130,15 @@ def test_pencil_char_poly():
 
 
 def test_star7_twins_char_poly():
-    for arr in (star7_transversal_sqrt2(), star7_transversal_q()):
-        cp = arr.char_poly()
+    for name in ("star7_transversal_r2", "star7_transversal_q"):
+        cp = ARRANGEMENT_FIXTURES[name]().char_poly()
         assert (cp.n, cp.b2) == (8, 13)
         assert str(cp) == "t^2 - 8 t + 13"
         assert cp.factored_str() is None
 
 
 def test_squares_diagonals_char_poly():
-    cp = squares_diagonals().char_poly()
+    cp = ARRANGEMENT_FIXTURES["squares_diagonals"]().char_poly()
     assert (cp.n, cp.b2) == (12, 35)
     assert str(cp) == "t^2 - 12 t + 35"
     assert cp.factored_str() == "(t-5)(t-7)"
@@ -310,7 +304,7 @@ def test_root_comparisons_match_surd_reference():
 
 
 def test_count_on_line_member_matches_n_counts():
-    arr = squares_diagonals()
+    arr = ARRANGEMENT_FIXTURES["squares_diagonals"]()
     for i, line in enumerate(arr.lines):
         assert arr.count_on_line(line) == arr.n_counts[i]
 
@@ -324,7 +318,8 @@ def test_count_on_line_non_member():
 
 
 def test_sum_of_counts_identity():
-    for arr in (pencil(5), squares_diagonals(), star7_transversal_q(), triangle()):
+    squares, star = (ARRANGEMENT_FIXTURES[n]() for n in ("squares_diagonals", "star7_transversal_q"))
+    for arr in (pencil(5), squares, star, triangle()):
         assert sum(arr.n_counts) == arr.char_poly().b2 + len(arr.points)
 
 
@@ -332,7 +327,7 @@ def test_sum_of_counts_identity():
 
 
 def test_delete_add_round_trip():
-    arr = squares_diagonals()
+    arr = ARRANGEMENT_FIXTURES["squares_diagonals"]()
     line = arr.lines[3]
     smaller = arr.delete(3)
     assert len(smaller) == 11 and line not in smaller
@@ -375,7 +370,8 @@ def check_deletion_restriction(arr):
 
 
 def test_deletion_restriction_fixtures():
-    for arr in (pencil(6), squares_diagonals(), star7_transversal_sqrt2(), f3_all()):
+    squares, star = (ARRANGEMENT_FIXTURES[n]() for n in ("squares_diagonals", "star7_transversal_r2"))
+    for arr in (pencil(6), squares, star, f3_all()):
         check_deletion_restriction(arr)
 
 
@@ -416,7 +412,7 @@ def test_order_increasing_pencil_from_empty():
 
 
 def test_order_increasing_star7_from_pencil():
-    arr = star7_transversal_q()
+    arr = ARRANGEMENT_FIXTURES["star7_transversal_q"]()
     order, counts = arr.order_increasing(range(7))
     assert order == (7,) and counts == (7,)
 
@@ -583,7 +579,12 @@ def point_scalar_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "make",
-    [squares_diagonals, star7_transversal_sqrt2, f3_all, lambda: pencil_with_parallels(F5, (1, 2), 1)],
+    [
+        ARRANGEMENT_FIXTURES["squares_diagonals"],
+        ARRANGEMENT_FIXTURES["star7_transversal_r2"],
+        f3_all,
+        lambda: pencil_with_parallels(F5, (1, 2), 1),
+    ],
     ids=["Q", "Qsqrt2", "F3", "F5"],
 )
 def test_point_scalars_are_built_on_first_read(point_scalar_calls, make):
@@ -603,7 +604,8 @@ def test_lattice_matches_reference_on_grids_and_fixtures():
         Arrangement.from_triples(F, [(1, 0, -k) for k in range(m)] + [(0, 1, -k) for k in range(m)])
         for F, m in ((Q, 5), (F5, 5), (Field.prime(2), 2))
     ]
-    for arr in (*grids, squares_diagonals(), star7_transversal_sqrt2(), f3_all(), three_parallels()):
+    squares, star = (ARRANGEMENT_FIXTURES[n]() for n in ("squares_diagonals", "star7_transversal_r2"))
+    for arr in (*grids, squares, star, f3_all(), three_parallels()):
         assert_same_lattice(arr, bases=((), (0,), tuple(range(len(arr) // 2))))
 
 
@@ -944,8 +946,8 @@ def test_any_field_header_answers_in_time(header):
 def test_format_round_trip_fixtures():
     for arr in (
         pencil(5),
-        squares_diagonals(),
-        star7_transversal_sqrt2(),
+        ARRANGEMENT_FIXTURES["squares_diagonals"](),
+        ARRANGEMENT_FIXTURES["star7_transversal_r2"](),
         f3_all(),
         Arrangement(Q, []),
     ):

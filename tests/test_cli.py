@@ -290,6 +290,16 @@ def test_verify_corruption_on_tiny_inputs(tmp_path, capsys):
         assert "b2" in err
 
 
+def test_verify_shows_an_overlong_b2_by_its_size(capsys):
+    delta = "9" * 4001
+    rc, out, err = run(capsys, "verify", path("pencil3.arr"), "--corrupt-b2", delta)
+    assert (rc, out) == (2, [])
+    (line,) = err.splitlines()
+    assert len(line) < 200
+    size = (int(delta) + 2).bit_length()
+    assert line == f"invariant violation: b2 = a {size}-bit integer outside [0, 3]"
+
+
 def test_verify_plane_spectrum_must_match_root_window(monkeypatch):
     from linarr import fqscan
     from linarr.errors import InvariantViolation

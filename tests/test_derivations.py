@@ -58,7 +58,7 @@ from linarr.errors import (
     PreconditionError,
 )
 from linarr.exactalg import Field, Quad, _scalar
-from linarr.fixtures import pencil, squares_diagonals, star7_transversal_q
+from linarr.fixtures import ARRANGEMENT_FIXTURES, pencil
 
 F5 = Field.prime(5)
 
@@ -125,7 +125,8 @@ def brute_dim_f5(M, d):
 
 
 def mk(field, pairs):
-    return Multiarrangement.from_pairs(field, pairs)
+    """Multiarrangement from (a, b, multiplicity) triples."""
+    return Multiarrangement(field, [(a, b) for a, b, _ in pairs], [m for _, _, m in pairs])
 
 
 def rand_poly(rng, field, d):
@@ -860,7 +861,7 @@ def test_ziegler_at_infinity_pencil():
 
 
 def test_ziegler_at_infinity_squares_diagonals():
-    M = ziegler_restriction(squares_diagonals())
+    M = ziegler_restriction(ARRANGEMENT_FIXTURES["squares_diagonals"]())
     assert M.h == 4
     assert sorted(M.mults) == [3, 3, 3, 3]
     assert set(M.centrals) == {
@@ -873,7 +874,7 @@ def test_ziegler_at_infinity_squares_diagonals():
 
 
 def test_ziegler_at_infinity_star7():
-    M = ziegler_restriction(star7_transversal_q())
+    M = ziegler_restriction(ARRANGEMENT_FIXTURES["star7_transversal_q"]())
     assert M.h == 8 and M.mults == (1,) * 8
     assert exponents(M).pair == (1, 7)
 
@@ -885,7 +886,7 @@ def test_ziegler_member_single_line():
 
 
 def test_ziegler_member_squares_diagonals():
-    arr = squares_diagonals()
+    arr = ARRANGEMENT_FIXTURES["squares_diagonals"]()
     M = ziegler_restriction(arr, 0)
     assert M.h == arr.n_counts[0] + 1 == 4
     assert sorted(M.mults) == [3, 3, 3, 3]

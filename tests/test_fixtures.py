@@ -3,48 +3,47 @@
 from fractions import Fraction
 
 from linarr.arrangement import format_arrangement, load_arrangement, normalize_line
-from linarr.derivations import format_multiarrangement, load_multiarrangement
+from linarr.derivations import format_multiarrangement
 from linarr.exactalg import Field, Quad
 from linarr.fixtures import (
     ARRANGEMENT_FIXTURES,
     MULTIARRANGEMENT_FIXTURES,
     f3_all,
-    f3_pencil,
-    f3_three,
     fixture_names,
     fixture_path,
     pencil,
     pentagon_sqrt5,
-    squares_diagonals,
-    star7_transversal_q,
-    star7_transversal_sqrt2,
-    subfree_gap_a,
-    subfree_gap_b,
-    subfree_gap_c,
 )
 
 
+def test_fixture_maps_cover_every_shipped_file():
+    names = fixture_names()
+    assert sorted(f"{stem}.arr" for stem in ARRANGEMENT_FIXTURES) == [
+        n for n in names if n.endswith(".arr") and not n.endswith(".marr")
+    ]
+    assert sorted(f"{stem}.marr" for stem in MULTIARRANGEMENT_FIXTURES) == [
+        n for n in names if n.endswith(".marr")
+    ]
+    assert (len(ARRANGEMENT_FIXTURES), len(MULTIARRANGEMENT_FIXTURES)) == (16, 4)
+
+
+def test_shipped_files_are_canonical():
+    # formatting the parse reproduces the file byte for byte
+    for maps, fmt, ext in (
+        (ARRANGEMENT_FIXTURES, format_arrangement, "arr"),
+        (MULTIARRANGEMENT_FIXTURES, format_multiarrangement, "marr"),
+    ):
+        for stem, load in maps.items():
+            with open(fixture_path(f"{stem}.{ext}"), encoding="utf-8") as fh:
+                assert fmt(load()) == fh.read(), stem
+
+
 def test_shipped_files_match_constructors():
-    names = fixture_names()
-    for name, make in ARRANGEMENT_FIXTURES.items():
-        fname = f"{name}.arr"
-        assert fname in names
-        on_disk = load_arrangement(fixture_path(fname))
-        assert on_disk == make()
-        # canonical serialization: formatting the parse reproduces the file
-        with open(fixture_path(fname), encoding="utf-8") as fh:
-            assert format_arrangement(on_disk) == fh.read()
-
-
-def test_shipped_marr_files_match_constructors():
-    names = fixture_names()
-    for name, make in MULTIARRANGEMENT_FIXTURES.items():
-        fname = f"{name}.marr"
-        assert fname in names
-        on_disk = load_multiarrangement(fixture_path(fname))
-        assert on_disk == make()
-        with open(fixture_path(fname), encoding="utf-8") as fh:
-            assert format_multiarrangement(on_disk) == fh.read()
+    # the three fixtures built from a rule other than their rows
+    expected = {f"pencil{n}": pencil(n) for n in range(3, 9)}
+    expected.update(pentagon_r5=pentagon_sqrt5(), f3_all=f3_all())
+    for stem, arr in expected.items():
+        assert load_arrangement(fixture_path(f"{stem}.arr")) == arr, stem
 
 
 def test_pentagon_lattice():
@@ -74,8 +73,8 @@ def test_pentagon_axis_is_a_five_point_external():
 
 
 def test_star7_twins_agree():
-    a = star7_transversal_sqrt2()
-    b = star7_transversal_q()
+    a = ARRANGEMENT_FIXTURES["star7_transversal_r2"]()
+    b = ARRANGEMENT_FIXTURES["star7_transversal_q"]()
     assert a.field == Field.quadratic(2)
     assert b.field == Field.rationals()
     assert a.char_poly() == b.char_poly()
@@ -87,17 +86,21 @@ def test_star7_twins_agree():
 
 
 def test_squares_diagonals_lattice():
-    arr = squares_diagonals()
+    arr = ARRANGEMENT_FIXTURES["squares_diagonals"]()
     assert arr.char_poly().factored_str() == "(t-5)(t-7)"
     sizes = sorted(len(ix) for _, ix in arr.parallel_classes)
     assert sizes == [3, 3, 3, 3]
+    # m3333 is its four directions, each with multiplicity 3
+    m3333 = MULTIARRANGEMENT_FIXTURES["m3333"]()
+    assert set(m3333.centrals) == {d for d, _ in arr.parallel_classes}
+    assert m3333.mults == (3, 3, 3, 3)
     mults = sorted(pt.multiplicity for pt in arr.points)
     # center and edge midpoints are 4-fold, square corners 3-fold
     assert mults == [2] * 12 + [3] * 4 + [4] * 5
 
 
 def test_subfree_family():
-    a, b, c = subfree_gap_a(), subfree_gap_b(), subfree_gap_c()
+    a, b, c = (ARRANGEMENT_FIXTURES[f"subfree_gap_{x}"]() for x in "abc")
     assert a.char_poly().factored_str() == "(t-3)(t-5)"
     assert b.char_poly().factored_str() == "(t-3)^2"
     assert c.char_poly().factored_str() == "(t-1)(t-3)"
@@ -108,10 +111,10 @@ def test_subfree_family():
 
 
 def test_f3_fixtures():
-    t = f3_three()
+    t = ARRANGEMENT_FIXTURES["f3_three"]()
     assert t.char_poly().factored_str() == "(t-1)(t-2)"
     assert t.char_poly().eval(3) == 2
-    p = f3_pencil()
+    p = ARRANGEMENT_FIXTURES["f3_pencil"]()
     assert p.char_poly().factored_str() == "(t-1)(t-3)"
     assert p.char_poly().eval(3) == 0
     alllines = f3_all()
@@ -129,7 +132,7 @@ def test_pencil_structure():
 
 
 def test_star7_sqrt2_slopes():
-    arr = star7_transversal_sqrt2()
+    arr = ARRANGEMENT_FIXTURES["star7_transversal_r2"]()
     r2 = Quad(0, 1, 2)
     slopes = {ln.b for ln in arr.lines if ln.a == arr.field.one}
     assert r2 / 2 in slopes and -r2 / 2 in slopes

@@ -20,7 +20,7 @@ from linarr.arrangement import Arrangement, normalize_line
 from linarr.derivations import Multiarrangement, is_member
 from linarr.errors import PreconditionError
 from linarr.exactalg import Field
-from linarr.fixtures import ARRANGEMENT_FIXTURES, f3_pencil, f3_three
+from linarr.fixtures import ARRANGEMENT_FIXTURES
 from linarr.fqscan import (
     FiniteBoundsReport,
     PlaneEnumeration,
@@ -79,7 +79,7 @@ def test_prime_cap_value():
 
 
 def test_complement_points_frozen():
-    A = f3_three()
+    A = ARRANGEMENT_FIXTURES["f3_three"]()
     pts = complement_points(A)
     # {x, x - 1, y} leaves exactly (2, 1) and (2, 2) uncovered
     field = A.field
@@ -91,7 +91,7 @@ def test_complement_points_frozen():
 def test_complement_count_table():
     empty = f3([])
     assert complement_count(empty) == 9
-    assert complement_count(f3_pencil()) == 0
+    assert complement_count(ARRANGEMENT_FIXTURES["f3_pencil"]()) == 0
     assert complement_count(ARRANGEMENT_FIXTURES["f3_all"]()) == 0
 
 
@@ -108,14 +108,14 @@ def test_line_spectrum_frozen():
     assert spec.members == ()
     assert spec.externals == ((0, 12),)
 
-    spec = line_spectrum(f3_three())
+    spec = line_spectrum(ARRANGEMENT_FIXTURES["f3_three"]())
     assert spec.members == ((1, 2), (2, 1))
     assert spec.externals == ((1, 1), (2, 6), (3, 2))
     assert spec.member_values == (1, 2)
     assert spec.external_values == (1, 2, 3)
     assert spec.combined == ((1, 3), (2, 7), (3, 2))
 
-    spec = line_spectrum(f3_pencil())
+    spec = line_spectrum(ARRANGEMENT_FIXTURES["f3_pencil"]())
     assert spec.members == ((1, 4),)
     assert spec.externals == ((3, 8),)
 
@@ -135,7 +135,7 @@ def test_line_spectrum_counts_every_line():
 def test_spectrum_respects_free_window():
     # free with exponents (1, 2): members lie in Z_<=1 union {2},
     # externals in {1} union Z_>=2
-    A = f3_three()
+    A = ARRANGEMENT_FIXTURES["f3_three"]()
     low, high = decide_free(A).exponents
     spec = line_spectrum(A)
     assert all(v <= low or v == high for v in spec.member_values)
@@ -209,7 +209,7 @@ def test_line_spectrum_reads_no_lattice_keys(monkeypatch):
 
 
 def test_order_root_free_branch():
-    entry = order_root(f3_pencil())
+    entry = order_root(ARRANGEMENT_FIXTURES["f3_pencil"]())
     assert entry.conclusion == FREE
     assert entry.evidence == {"root": 3, "exponents": (1, 3)}
     entry = order_root(ARRANGEMENT_FIXTURES["f3_all"]())
@@ -217,7 +217,7 @@ def test_order_root_free_branch():
 
 
 def test_order_root_inapplicable_below_size_bound():
-    entry = order_root(f3_three())
+    entry = order_root(ARRANGEMENT_FIXTURES["f3_three"]())
     assert not entry.applicable
     assert entry.evidence["reason"] == "chi(3) = 2 and |A| = 3 < 5"
 
@@ -238,7 +238,7 @@ def test_order_root_not_free_branch():
 
 
 def test_order_minus_one_root_witness():
-    entry = order_minus_one_root(f3_three())
+    entry = order_minus_one_root(ARRANGEMENT_FIXTURES["f3_three"]())
     assert entry.conclusion == FREE
     assert entry.evidence == {
         "root": 2,
@@ -248,14 +248,14 @@ def test_order_minus_one_root_witness():
         "witness_count": 2,
     }
     # the witness x + y = 0 passes through (2, 1) but not (2, 2)
-    A = f3_three()
+    A = ARRANGEMENT_FIXTURES["f3_three"]()
     assert A.count_on_line(Arrangement.from_triples(F3, [(1, 1, 0)]).lines[0]) == 2
 
 
 def test_order_minus_one_root_dispatches_at_zero_complement():
     # pencil of all four directions plus x = 2: chi = (t-2)(t-3), so
     # p - 1 is a root while the complement is empty
-    A = f3_pencil().add((1, 0, 1))
+    A = ARRANGEMENT_FIXTURES["f3_pencil"]().add((1, 0, 1))
     assert A.char_poly().factored_str() == "(t-2)(t-3)"
     entry = order_minus_one_root(A)
     assert entry.conclusion == FREE
@@ -299,18 +299,18 @@ def test_frobenius_membership_random():
 
 
 def test_finite_exponent_bounds_frozen():
-    m33 = Multiarrangement.from_pairs(F3, [(1, 0, 3), (0, 1, 3)])
+    m33 = Multiarrangement(F3, [(1, 0), (0, 1)], [3, 3])
     report = finite_exponent_bounds(m33)
     assert report == FiniteBoundsReport(
         True, 3, 6, (3, 3), ("no_straddle", "min_is_order", "frobenius_member")
     )
 
-    m221 = Multiarrangement.from_pairs(F3, [(1, 0, 2), (0, 1, 2), (1, 1, 1)])
+    m221 = Multiarrangement(F3, [(1, 0), (0, 1), (1, 1)], [2, 2, 1])
     report = finite_exponent_bounds(m221)
     assert report.exponents == (2, 3)
     assert report.checks == ("no_straddle", "max_is_order", "frobenius_member")
 
-    m551 = Multiarrangement.from_pairs(F3, [(1, 0, 5), (0, 1, 5), (1, 1, 1)])
+    m551 = Multiarrangement(F3, [(1, 0), (0, 1), (1, 1)], [5, 5, 1])
     report = finite_exponent_bounds(m551)
     assert not report.applicable
     assert report.reason == "a multiplicity exceeds 3"

@@ -33,7 +33,7 @@ from linarr.arrangement import (
 )
 from linarr.derivations import AT_INFINITY, exponents, ziegler_restriction
 from linarr import freeness
-from linarr.errors import InvariantViolation, MembershipError
+from linarr.errors import InvariantViolation, MembershipError, PreconditionError
 from linarr.exactalg import _JOIN, Field, _key, _key_scalars
 from linarr.fixtures import ARRANGEMENT_FIXTURES, fixture_names, fixture_path, pencil
 from linarr.freeness import (
@@ -191,7 +191,7 @@ def test_root_incidence_external_witness():
     # every pentagon member has count 4, off the roots (5, 5); only an
     # external line can certify
     A = ARRANGEMENT_FIXTURES["pentagon_r5"]()
-    no_ext = root_incidence(A)
+    no_ext = root_incidence(A, ())
     assert no_ext.conclusion == NO_CONCLUSION
     assert no_ext.evidence == {"roots": [5, 5], "member_counts": [4], "externals_checked": 0}
 
@@ -221,6 +221,37 @@ def test_root_incidence_rejects_member_as_external():
             root_incidence(A, (A.lines[0],))
         with pytest.raises(MembershipError, match="is a member, not an external line"):
             run_criteria(A, [A.lines[0]])
+
+
+def test_member_with_plain_int_coefficients_is_a_member():
+    # over F_p a Line of plain ints hashes apart from its Mod twin
+    A = ARRANGEMENT_FIXTURES["f3_pencil"]()
+    with pytest.raises(MembershipError, match="is a member, not an external line"):
+        root_incidence(A, [Line(1, 0, 0)])
+
+
+# Line(2, 0, 0) is the member x = 0 unnormalized; Line(0, 0, 1) is no line
+BAD_LINES = [
+    pytest.param("squares_diagonals", Line(2, 0, 0), "is not normalized", id="member-unnormalized"),
+    pytest.param("pentagon_r5", Line(2, 0, 0), "is not normalized", id="unnormalized"),
+    pytest.param("pentagon_r5", Line(0, 0, 1), "a and b are both zero", id="degenerate"),
+    pytest.param("pentagon_r5", (0, 1, 0), "expected a Line", id="tuple"),
+    pytest.param("pentagon_r5", "0 1 0", "expected a Line", id="string"),
+]
+LINE_READERS = {
+    "root_incidence": lambda A, L: root_incidence(A, [L]),
+    "run_criteria": lambda A, L: run_criteria(A, [L]),
+    "verify_root_window": lambda A, L: verify_root_window(A, [L]),
+    "count_on_line": lambda A, L: A.count_on_line(L),
+}
+
+
+@pytest.mark.parametrize("reader", LINE_READERS)
+@pytest.mark.parametrize("name, line, message", BAD_LINES)
+def test_supplied_lines_must_be_normalized_lines(reader, name, line, message):
+    A = ARRANGEMENT_FIXTURES[name]()
+    with pytest.raises(PreconditionError, match=message):
+        LINE_READERS[reader](A, line)
 
 
 def test_root_incidence_builds_candidates_for_none():

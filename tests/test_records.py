@@ -219,8 +219,8 @@ def test_hash_once_values_keep_the_hash_contract():
     F5 = Field.prime(5)
     triples = [(1, 0, 0), (0, 1, Quad(0, 1, 2)), (1, 1, 1), (1, Quad(1, -1, 2), 0)]
     A = Arrangement.from_triples(R2, triples)
-    weighted = [(1, 0, 2), (0, 1, 1), (1, 2, 3)]
-    M = Multiarrangement.from_pairs(F5, weighted)
+    centrals, mults = [(1, 0), (0, 1), (1, 2)], [2, 1, 3]
+    M = Multiarrangement(F5, centrals, mults)
     pairs = [
         (A, Arrangement.from_triples(R2, triples[::-1]), A.delete(0)),
         (
@@ -228,7 +228,7 @@ def test_hash_once_values_keep_the_hash_contract():
             Arrangement.from_triples(F5, [(0, 1, 4), (1, 2, 3)]),
             Arrangement.from_triples(F5, [(0, 1, 4), (1, 2, 2)]),
         ),
-        (M, Multiarrangement.from_pairs(F5, weighted[::-1]), Multiarrangement(F5, M.centrals, [2, 1, 2])),
+        (M, Multiarrangement(F5, centrals[::-1], mults[::-1]), Multiarrangement(F5, centrals, [2, 1, 2])),
     ]
     for value, reordered, other in pairs:
         assert value == reordered and hash(value) == hash(reordered)
