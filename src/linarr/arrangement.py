@@ -88,16 +88,16 @@ def normalize_direction(field: Field, a, b) -> tuple:
     return (a, b)
 
 
-def _checked_triple(field: Field, line) -> tuple:
-    """The coerced (a, b, c) of a supplied Line; a non-Line, a degenerate
+def _checked_triple(line, coerce, one) -> tuple:
+    """The coerced (a, b, c) of a supplied Line, given the field's coerce
+    and one (Field.one builds a scalar per read); a non-Line, a degenerate
     or an unnormalized row raises PreconditionError."""
     if not isinstance(line, Line):
         raise PreconditionError(f"expected a Line, got {line!r}")
-    coerce = field.coerce
     a, b, c = coerce(line.a), coerce(line.b), coerce(line.c)
     if not a and not b:
         raise PreconditionError("not a line: a and b are both zero")
-    if (a if a else b) != field.one:
+    if (a if a else b) != one:
         raise PreconditionError(f"line {line} is not normalized")
     return a, b, c
 
@@ -299,9 +299,10 @@ class Arrangement(_Frozen):
 
     def __init__(self, field: Field, lines):
         index: dict[Line, int] = {}
+        coerce, one = field.coerce, field.one
         for i, line in enumerate(lines):
             # store canon, since an equal triple of plain ints hashes differently
-            canon = Line(*_checked_triple(field, line))
+            canon = Line(*_checked_triple(line, coerce, one))
             if canon in index:
                 raise PreconditionError(f"duplicate line {line}")
             index[canon] = i
@@ -414,9 +415,9 @@ class Arrangement(_Frozen):
         with a zero determinant, like a parallel line, so it adds no key.
         A line that is not a normalized Line raises PreconditionError.
         """
-        field = self.field
+        field, one = self.field, self.field.one
         join, param = _JOIN[field.kind], field.d or field.p
-        mine = _key(_checked_triple(field, line), field.one)
+        mine = _key(_checked_triple(line, field.coerce, one), one)
         keys = {join(mine, other, 2, param) for other in self._keys}
         keys.discard(None)
         return len(keys)

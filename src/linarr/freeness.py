@@ -187,9 +187,9 @@ def _integer_roots(A: Arrangement):
 
 
 def _external_lines(A: Arrangement, externals) -> tuple:
-    """Supplied externals as a tuple of canonical Lines. One that is not
-    a normalized Line raises PreconditionError, a member MembershipError."""
-    externals = tuple(Line(*_checked_triple(A.field, L)) for L in externals)
+    """Supplied externals as canonical Lines, checked as root_incidence says."""
+    coerce, one = A.field.coerce, A.field.one
+    externals = tuple(Line(*_checked_triple(L, coerce, one)) for L in externals)
     for L in externals:
         if L in A:
             raise MembershipError(f"{L} is a member, not an external line")
@@ -269,9 +269,8 @@ def root_incidence(A: Arrangement, externals=None) -> CriterionEntry:
     With integer roots a <= a+b, any line H (member or external) with
     count in {a, a+b} certifies freeness; finding none concludes nothing.
     externals: external_candidates(A) for None, built once no member
-    count is a root; () counts none. Before anything is counted, a
-    supplied external raises PreconditionError unless it is a
-    normalized Line, and MembershipError if it is a member.
+    count is a root; () counts none. Before any count, a supplied line
+    raises PreconditionError unless normalized, MembershipError if a member.
     """
     name = "root_incidence"
     if externals is not None:

@@ -221,9 +221,6 @@ def test_root_incidence_rejects_member_as_external():
             root_incidence(A, (A.lines[0],))
         with pytest.raises(MembershipError, match="is a member, not an external line"):
             run_criteria(A, [A.lines[0]])
-
-
-def test_member_with_plain_int_coefficients_is_a_member():
     # over F_p a Line of plain ints hashes apart from its Mod twin
     A = ARRANGEMENT_FIXTURES["f3_pencil"]()
     with pytest.raises(MembershipError, match="is a member, not an external line"):
