@@ -7,9 +7,11 @@ plus caches: the intersection lattice (point keys with the incident
 line indices at each), the parallel classes, and the per-line counts
 n_H = number of distinct points in which the other members meet H.
 
-The caches are built from integer keys (see exactalg for their form).
-Each member is keyed once, and two members meet in the key of their
-point, so points are deduplicated without field arithmetic. Every
+Members are identified by their integer keys (see exactalg for their
+form): each member is keyed once, and a supplied Line, which must be
+normalized, is keyed by _key_of and looked up, so membership does not
+depend on how its scalars are typed. Two members meet in the key of
+their point, so points are deduplicated without field arithmetic. Every
 count the library reads is combinatorial, so no field scalar of a
 point is built until .points is first read. count_on_line uses the
 same keys; order_increasing updates its counts incrementally.
@@ -68,38 +70,34 @@ class Line:
         return (self.a, self.b)
 
 
-def normalize_line(field: Field, a, b, c) -> Line:
-    a, b, c = field.coerce(a), field.coerce(b), field.coerce(c)
+def _normalized(field: Field, coeffs, what: str) -> tuple:
+    """The canonical form of a line or direction (what names which): coeffs
+    coerced, then divided by the head, the first nonzero of a and b, unless one."""
+    coeffs = tuple(map(field.coerce, coeffs))
+    a, b = coeffs[:2]
     if not a and not b:
-        raise PreconditionError("not a line: a and b are both zero")
+        raise PreconditionError(f"not a {what}: a and b are both zero")
     head = a if a else b
-    if head != field.one:
-        a, b, c = a / head, b / head, c / head
-    return Line(a, b, c)
+    return coeffs if head == field.one else tuple(x / head for x in coeffs)
+
+
+def normalize_line(field: Field, a, b, c) -> Line:
+    return Line(*_normalized(field, (a, b, c), "line"))
 
 
 def normalize_direction(field: Field, a, b) -> tuple:
-    a, b = field.coerce(a), field.coerce(b)
-    if not a and not b:
-        raise PreconditionError("not a direction: a and b are both zero")
-    head = a if a else b
-    if head != field.one:
-        a, b = a / head, b / head
-    return (a, b)
+    return _normalized(field, (a, b), "direction")
 
 
-def _checked_triple(line, coerce, one) -> tuple:
-    """The coerced (a, b, c) of a supplied Line, given the field's coerce
-    and one (Field.one builds a scalar per read); a non-Line, a degenerate
+def _checked_triple(line, field: Field) -> tuple:
+    """The coerced (a, b, c) of a supplied Line; a non-Line, a degenerate
     or an unnormalized row raises PreconditionError."""
     if not isinstance(line, Line):
         raise PreconditionError(f"expected a Line, got {line!r}")
-    a, b, c = coerce(line.a), coerce(line.b), coerce(line.c)
-    if not a and not b:
-        raise PreconditionError("not a line: a and b are both zero")
-    if (a if a else b) != one:
+    triple = tuple(map(field.coerce, (line.a, line.b, line.c)))
+    if _normalized(field, triple, "line") != triple:
         raise PreconditionError(f"line {line} is not normalized")
-    return a, b, c
+    return triple
 
 
 @record
@@ -286,7 +284,6 @@ class Arrangement(_Frozen):
         "field",
         "lines",
         "_index",
-        "_keys",
         "_point_keys",
         "_incidence",
         "_points",
@@ -298,24 +295,22 @@ class Arrangement(_Frozen):
     )
 
     def __init__(self, field: Field, lines):
-        index: dict[Line, int] = {}
-        coerce, one = field.coerce, field.one
-        for i, line in enumerate(lines):
-            # store canon, since an equal triple of plain ints hashes differently
-            canon = Line(*_checked_triple(line, coerce, one))
-            if canon in index:
+        index: dict[tuple, int] = {}
+        canon = []
+        for line in lines:
+            triple = _checked_triple(line, field)
+            if index.setdefault(_key(triple, field.one), len(canon)) != len(canon):
                 raise PreconditionError(f"duplicate line {line}")
-            index[canon] = i
+            canon.append(Line(*triple))  # members hold field scalars
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "lines", tuple(index))
+        object.__setattr__(self, "lines", tuple(canon))
         object.__setattr__(self, "_index", index)
         self._build_caches()
 
     def _build_caches(self):
-        field, lines = self.field, self.lines
+        field, lines, keys = self.field, self.lines, tuple(self._index)
         n = len(lines)
-        one, join, param = field.one, _JOIN[field.kind], field.d or field.p
-        keys = tuple(_key((line.a, line.b, line.c), one) for line in lines)
+        join, param = _JOIN[field.kind], field.d or field.p
         by_key: dict[tuple, set[int]] = {}
         for i in range(n):
             ki = keys[i]
@@ -334,7 +329,6 @@ class Arrangement(_Frozen):
         n_counts = tuple(map(len, points_on))
         # a point of multiplicity m lies on m members and adds m - 1 to b2
         b2 = sum(n_counts) - len(incidence)
-        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_point_keys", tuple(by_key))
         object.__setattr__(self, "_incidence", incidence)
         object.__setattr__(
@@ -397,14 +391,19 @@ class Arrangement(_Frozen):
     def char_poly(self) -> CharPoly:
         return self._char_poly
 
+    def _key_of(self, line: Line) -> tuple:
+        """The key of a supplied Line, the one gate that identifies it;
+        a Line that is not normalized raises PreconditionError."""
+        return _key(_checked_triple(line, self.field), self.field.one)
+
     def index_of(self, line: Line) -> int:
         try:
-            return self._index[line]
+            return self._index[self._key_of(line)]
         except KeyError:
             raise MembershipError(f"{line} is not a member") from None
 
     def __contains__(self, line: Line) -> bool:
-        return line in self._index
+        return self._key_of(line) in self._index
 
     # -------------------------------------------------------- counting
 
@@ -415,10 +414,9 @@ class Arrangement(_Frozen):
         with a zero determinant, like a parallel line, so it adds no key.
         A line that is not a normalized Line raises PreconditionError.
         """
-        field, one = self.field, self.field.one
-        join, param = _JOIN[field.kind], field.d or field.p
-        mine = _key(_checked_triple(line, field.coerce, one), one)
-        keys = {join(mine, other, 2, param) for other in self._keys}
+        join, param = _JOIN[self.field.kind], self.field.d or self.field.p
+        mine = self._key_of(line)
+        keys = {join(mine, other, 2, param) for other in self._index}
         keys.discard(None)
         return len(keys)
 
@@ -426,8 +424,8 @@ class Arrangement(_Frozen):
 
     def member_index(self, which) -> int:
         """Index of a member given as a Line or as an int other than a bool;
-        raises MembershipError for anything else, a non-member line or an
-        index out of range."""
+        an unnormalized Line raises PreconditionError, and anything else, a
+        non-member line or an index out of range MembershipError."""
         if isinstance(which, Line):
             return self.index_of(which)
         if type(which) is bool or not isinstance(which, int):
@@ -441,9 +439,10 @@ class Arrangement(_Frozen):
         return Arrangement(self.field, self.lines[:i] + self.lines[i + 1 :])
 
     def add(self, line) -> "Arrangement":
-        if isinstance(line, tuple):
+        """A plus a Line or an (a, b, c) tuple; anything else raises PreconditionError."""
+        if isinstance(line, tuple) and len(line) == 3:
             line = normalize_line(self.field, *line)
-        if line in self._index:
+        if line in self:
             raise MembershipError(f"{line} is already a member")
         return Arrangement(self.field, self.lines + (line,))
 

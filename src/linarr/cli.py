@@ -118,6 +118,8 @@ def _cmd_ziegler(args):
 
 def _cmd_exponents(args):
     if args.file.endswith(".marr"):
+        if args.target != AT_INFINITY:
+            raise PreconditionError("a .marr file has no members; --target takes only 'infinity'")
         M = _load_arr(args.file, load_multiarrangement)
         record = {"d1": None, "d2": None, "size": M.size}
     else:

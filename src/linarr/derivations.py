@@ -207,7 +207,9 @@ class Multiarrangement(_Frozen):
         centrals = tuple(
             normalize_direction(field, a, b) for a, b in centrals
         )
-        mults = tuple(int(m) for m in mults)
+        mults = tuple(mults)
+        if any(type(m) is bool or not isinstance(m, int) for m in mults):
+            raise PreconditionError("multiplicities must be ints")
         if len(centrals) != len(mults):
             raise PreconditionError("one multiplicity per central line")
         if len(set(centrals)) != len(centrals):

@@ -22,7 +22,9 @@ Field and the other value classes are records: @record rebuilds an
 annotated class on _Frozen with __slots__ and _args its fields and
 generated __init__ (its defaults, then __post_init__ if defined),
 __eq__ (same class, equal field tuples), __hash__ of the field tuple
-and a Name(field=value) __repr__. It does what dataclass(frozen=True,
+and a Name(field=value) __repr__; slots the class declares itself
+(Field's zero and one) are derived, set by __post_init__ and kept out
+of _args and all of these. It does what dataclass(frozen=True,
 slots=True) did, without importing dataclasses, which took about half
 the time of importing the CLI.
 
@@ -362,8 +364,9 @@ def _fraction(text: str) -> Fraction:
 
 def record(cls):
     """cls rebuilt as a frozen record of its annotated fields; see the module docstring."""
-    names = tuple(cls.__annotations__)
-    body = {k: v for k, v in vars(cls).items() if k not in names + ("__dict__", "__weakref__")}
+    names, derived = tuple(cls.__annotations__), vars(cls).get("__slots__", ())
+    skip = names + derived + ("__dict__", "__weakref__")
+    body = {k: v for k, v in vars(cls).items() if k not in skip}
     own, other = ("".join(f"{obj}.{n}, " for n in names) for obj in ("self", "other"))
     params = ", ".join(f"{n}=_D[{n!r}]" if n in vars(cls) else n for n in names)
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
@@ -375,7 +378,7 @@ def record(cls):
         f"def __repr__(self): return f'{cls.__qualname__}({shown})'",
     ]
     exec("\n".join(source), {"_D": vars(cls), "_set": object.__setattr__}, body)
-    body.update(__slots__=names, _args=names, __qualname__=cls.__qualname__)
+    body.update(__slots__=names + derived, _args=names, __qualname__=cls.__qualname__)
     bases = tuple(b for b in cls.__bases__ if b is not object) + (_Frozen,)
     return type(cls)(cls.__name__, bases, body)
 
@@ -387,6 +390,7 @@ class Field:
     kind: str
     d: int | None = None
     p: int | None = None
+    __slots__ = ("zero", "one")
 
     def __post_init__(self):
         if self.kind == RATIONALS:
@@ -410,6 +414,8 @@ class Field:
                 raise PreconditionError(f"p = {self.p} is not prime")
         else:
             raise PreconditionError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "zero", self.from_int(0))
+        object.__setattr__(self, "one", self.from_int(1))
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -426,14 +432,6 @@ class Field:
     @property
     def characteristic(self) -> int:
         return self.p if self.kind == PRIME else 0
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
 
     def from_int(self, n: int):
         if self.kind == RATIONALS:

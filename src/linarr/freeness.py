@@ -43,7 +43,6 @@ from .arrangement import (
     TWO_INTEGER,
     Arrangement,
     Line,
-    _checked_triple,
 )
 from .derivations import (
     AT_INFINITY,
@@ -187,9 +186,8 @@ def _integer_roots(A: Arrangement):
 
 
 def _external_lines(A: Arrangement, externals) -> tuple:
-    """Supplied externals as canonical Lines, checked as root_incidence says."""
-    coerce, one = A.field.coerce, A.field.one
-    externals = tuple(Line(*_checked_triple(L, coerce, one)) for L in externals)
+    """Supplied externals as a tuple, checked as root_incidence says."""
+    externals = tuple(externals)
     for L in externals:
         if L in A:
             raise MembershipError(f"{L} is a member, not an external line")
@@ -618,10 +616,11 @@ def external_candidates(A: Arrangement) -> tuple:
         from .fqscan import PlaneEnumeration
 
         plane = PlaneEnumeration(field.p)
-        return tuple(L for L in plane.lines if L not in A)
+        members = {plane.line_ids[line] for line in A.lines}
+        return tuple(L for i, L in enumerate(plane.lines) if i not in members)
 
     one, join, param = field.one, _JOIN[field.kind], field.d or field.p
-    members = set(A._keys)
+    members = A._index
     found: dict[tuple, None] = {}
 
     def offer(k: tuple):

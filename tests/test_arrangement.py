@@ -349,6 +349,14 @@ def test_edit_errors():
         arr.subarrangement([5])
 
 
+def test_add_takes_a_line_or_a_triple():
+    arr = pencil(3)
+    assert arr.add((0, 1, 5)) == arr.add(normalize_line(Q, 0, 1, 5))
+    for bad in ((1, 0), [1, 0, 5], "0 1 5", None):
+        with pytest.raises(PreconditionError, match="expected a Line"):
+            arr.add(bad)
+
+
 def test_set_equality_ignores_order():
     a = Arrangement.from_triples(Q, [(1, 0, 0), (0, 1, 0)])
     b = Arrangement.from_triples(Q, [(0, 1, 0), (1, 0, 0)])

@@ -120,6 +120,14 @@ def test_exponents_of_multiarrangement_file(capsys):
     assert records == [{"d1": 5, "d2": 7, "size": 12}]
 
 
+def test_exponents_of_multiarrangement_file_refuses_a_member_target(capsys):
+    rc, out, err = run(capsys, "exponents", path("m3333.marr"), "--target", "member:5")
+    assert (rc, out) == (1, [])
+    assert err == "error: a .marr file has no members; --target takes only 'infinity'\n"
+    rc, out, _ = run(capsys, "exponents", path("m3333.marr"), "--target", "infinity")
+    assert (rc, out) == (0, ["exp = (5,7)"])
+
+
 def test_exponents_of_restriction(capsys):
     rc, out, _ = run(
         capsys, "exponents", path("squares_diagonals.arr"), "--target", "member:2"

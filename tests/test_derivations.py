@@ -980,6 +980,10 @@ def test_multiarrangement_validation():
         Multiarrangement(Q, [(1, 0)], [1, 2])
     with pytest.raises(PreconditionError):
         Multiarrangement(Q, [(0, 0)], [1])
+    # a multiplicity is an int, never truncated or parsed from another type
+    for bad in (2.7, True, "3", Fraction(2)):
+        with pytest.raises(PreconditionError, match="multiplicities must be ints"):
+            Multiarrangement(Q, [(1, 0)], [bad])
 
 
 def test_format_poly_rendering():

@@ -221,7 +221,7 @@ def test_root_incidence_rejects_member_as_external():
             root_incidence(A, (A.lines[0],))
         with pytest.raises(MembershipError, match="is a member, not an external line"):
             run_criteria(A, [A.lines[0]])
-    # over F_p a Line of plain ints hashes apart from its Mod twin
+    # over F_p a Line of plain ints is the member of Mod scalars
     A = ARRANGEMENT_FIXTURES["f3_pencil"]()
     with pytest.raises(MembershipError, match="is a member, not an external line"):
         root_incidence(A, [Line(1, 0, 0)])
@@ -240,11 +240,27 @@ LINE_READERS = {
     "run_criteria": lambda A, L: run_criteria(A, [L]),
     "verify_root_window": lambda A, L: verify_root_window(A, [L]),
     "count_on_line": lambda A, L: A.count_on_line(L),
+    "in": lambda A, L: L in A,
+    "index_of": lambda A, L: A.index_of(L),
+    "member_index": lambda A, L: A.member_index(L),
+    "delete": lambda A, L: A.delete(L),
+    # add reads an (a, b, c) tuple as a line, so it gets the tuple as a list
+    "add": lambda A, L: A.add(list(L) if type(L) is tuple else L),
+    "decide_free": lambda A, L: decide_free(A, L),
+    "ziegler_restriction": lambda A, L: ziegler_restriction(A, L),
 }
+# these take a member index as well, and refuse any other non-Line with
+# MembershipError, as test_member_lookup_errors_agree checks
+TAKES_AN_INDEX = {"member_index", "delete", "decide_free", "ziegler_restriction"}
+SUPPLIED_LINE_CASES = [
+    pytest.param(reader, *bad.values, id=f"{bad.id}-{reader}")
+    for bad in BAD_LINES
+    for reader in LINE_READERS
+    if isinstance(bad.values[1], Line) or reader not in TAKES_AN_INDEX
+]
 
 
-@pytest.mark.parametrize("reader", LINE_READERS)
-@pytest.mark.parametrize("name, line, message", BAD_LINES)
+@pytest.mark.parametrize("reader, name, line, message", SUPPLIED_LINE_CASES)
 def test_supplied_lines_must_be_normalized_lines(reader, name, line, message):
     A = ARRANGEMENT_FIXTURES[name]()
     with pytest.raises(PreconditionError, match=message):
@@ -390,6 +406,24 @@ def test_member_lookup_errors_agree(lookup, which):
         assert str(raised.value) == f"line index {which} out of range"
     else:
         assert str(raised.value) == f"{which!r} is not a Line or a line index"
+
+
+@pytest.mark.parametrize("lookup", sorted(MEMBER_LOOKUPS) + ["in", "index_of", "add"])
+def test_member_written_with_plain_ints_is_found(lookup):
+    """Line(1, 0, 0) of plain ints is f3_pencil's member x = 0, whose
+    scalars are Mod: every member lookup finds it by its key."""
+    A = ARRANGEMENT_FIXTURES["f3_pencil"]()
+    plain, member = Line(1, 0, 0), A.lines[0]
+    assert member == Line(F3.one, F3.zero, F3.zero) and plain != member
+    if lookup == "add":
+        with pytest.raises(MembershipError, match="is already a member"):
+            A.add(plain)
+    elif lookup == "in":
+        assert plain in A
+    elif lookup == "index_of":
+        assert A.index_of(plain) == 0
+    else:
+        assert MEMBER_LOOKUPS[lookup](A, plain) == MEMBER_LOOKUPS[lookup](A, member)
 
 
 # --------------------------------------------------------- bracketing_sub

@@ -255,6 +255,27 @@ def test_records_round_trip_pickle_and_copy(name):
             assert repr(clone) == repr(rec)
 
 
+@pytest.mark.parametrize(
+    "field, shown",
+    [
+        (Q, "Field(kind='rationals', d=None, p=None)"),
+        (Field.prime(5), "Field(kind='prime', d=None, p=5)"),
+        (R2, "Field(kind='quadratic', d=2, p=None)"),
+    ],
+)
+def test_field_units_are_built_once(field, shown):
+    """zero and one are set when a Field is built and stay out of its
+    repr and its pickle, which rebuild them."""
+    assert field.one is field.one and field.zero is field.zero
+    assert (field.zero, field.one) == (field.from_int(0), field.from_int(1))
+    assert repr(field) == shown
+    assert field.__reduce__() == (Field, (field.kind, field.d, field.p))
+    for clone in (pickle.loads(pickle.dumps(field)), copy.copy(field), copy.deepcopy(field)):
+        assert clone == field and hash(clone) == hash(field) and repr(clone) == shown
+        assert clone.one == field.one and clone.one is clone.one
+        assert clone.one + clone.one == clone.from_int(2) and not clone.zero
+
+
 def test_recdefaults_and_post_init():
     assert Field("rationals") == Field.rationals()
     assert FiniteBoundsReport(False, 5, 6, None, ()).reason is None
